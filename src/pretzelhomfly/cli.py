@@ -19,8 +19,10 @@ from . import ENGINE_VERSION
 from .cache import HomflyCache, resolve_cache_dir
 from .diffexp import (alexander, check_conjecture_935, check_conjecture_946,
                       defect, extract_F)
-from .differences import (check_conjecture_main, check_conjecture_mono,
-                          check_theorem_1, q_diff)
+# q_diff is not called here, but stays importable from this module: the
+# benchmark tracer (perfbench/tracer.py) wraps it under this name.
+from .differences import (check_conjecture_main, check_conjecture_mono,  # noqa: F401
+                          check_theorem_1, q_diff, q_diff_window)
 from .errors import EngineError
 from .laurent import LaurentPoly
 from .pretzel import HomflyEngine, PretzelSpec
@@ -122,10 +124,9 @@ def _cmd_diff(args) -> int:
     a, b = args.params
     lo, _, hi = args.c_range.partition(":")
     clo, chi = int(lo), int(hi)
-    rows = []
-    for c in range(clo, chi + 1, 2):
-        d = q_diff(args.order, a, b, c, args.rep, eng)
-        rows.append({"c": c, "poly": d.to_text()})
+    cs = range(clo, chi + 1, 2)
+    diffs = q_diff_window(args.order, (a, b), cs, args.rep, eng)
+    rows = [{"c": c, "poly": d.to_text()} for c, d in zip(cs, diffs)]
     _emit({"order": args.order, "a": a, "b": b, "rep": args.rep,
            "entries": rows}, args.format,
           lambda o: "\n".join(f"c={e['c']}: {e['poly']}" for e in o["entries"]))

@@ -9,8 +9,9 @@ left after trial division is reported as "irreducibility not certified".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from math import comb
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineError, NotDivisible, ZeroPolynomial
 from .laurent import LaurentPoly, Monomial
@@ -35,28 +36,40 @@ def four_point_divisor() -> LaurentPoly:
     return (A - q) * (A + q) * (A * q - one) * (A * q + one)
 
 
+def q_diff_window(n: int, prefix: Sequence[int], c_values: Sequence[int],
+                  r: int, engine: Optional[HomflyEngine] = None
+                  ) -> List[LaurentPoly]:
+    """Q^n in the last parameter at each c of c_values (stepping by 2), for
+    the knots prefix + (c,) of any genus.
+
+    Q^n(c) = sum_i (-1)^(n-i) C(n,i) H(c+2i).  All members come from one
+    HomflyEngine.family window [c_values[0], c_values[-1] + 2n].
+    """
+    if n < 0:
+        raise ValueError("difference order must be >= 0")
+    if not c_values:
+        return []
+    lo, hi = c_values[0], c_values[-1]
+    if list(c_values) != list(range(lo, hi + 1, 2)):
+        raise ValueError(f"c values must step by 2: {list(c_values)}")
+    eng = engine or _default_engine
+    members = eng.family(prefix, range(lo, hi + 2 * n + 1, 2), r)
+    weights = [(-1) ** (n - i) * comb(n, i) for i in range(n)]
+    out = []
+    for j in range(len(c_values)):
+        total = members[j + n]  # weight C(n, n) = 1
+        for i, w in enumerate(weights):
+            # w = -1 (always, at n = 1) is one subtraction, without scale()
+            member = members[j + i]
+            total = total - member if w == -1 else total + member.scale(w)
+        out.append(total)
+    return out
+
+
 def q_diff(n: int, a: int, b: int, c: int, r: int,
            engine: Optional[HomflyEngine] = None) -> LaurentPoly:
     """Q^n(c, r) = Q^(n-1)(c+2, r) - Q^(n-1)(c, r); Q^0 is the invariant."""
-    if n < 0:
-        raise ValueError("difference order must be >= 0")
-    eng = engine or _default_engine
-    if n == 0:
-        return eng.homfly(PretzelSpec((a, b, c), r)).poly
-    return q_diff(n - 1, a, b, c + 2, r, eng) - q_diff(n - 1, a, b, c, r, eng)
-
-
-def q_diff_genus(n: int, params: Sequence[int], r: int,
-                 engine: Optional[HomflyEngine] = None) -> LaurentPoly:
-    """Same difference in the last parameter, for arbitrary genus."""
-    if n < 0:
-        raise ValueError("difference order must be >= 0")
-    eng = engine or _default_engine
-    if n == 0:
-        return eng.homfly(PretzelSpec(params, r)).poly
-    up = tuple(params[:-1]) + (params[-1] + 2,)
-    return (q_diff_genus(n - 1, up, r, eng)
-            - q_diff_genus(n - 1, params, r, eng))
+    return q_diff_window(n, (a, b), [c], r, engine)[0]
 
 
 def q_diff_genus_rational(n: int, params: Sequence[int], r: int,
@@ -84,22 +97,6 @@ def check_genus_vanishing(params: Sequence[int], r: int,
         if not value.is_zero:
             return Verdict.fails(value, f"difference does not vanish at {label}")
     return Verdict.holds("first difference vanishes at all four special points")
-
-
-@dataclass
-class DifferenceTable:
-    a: int
-    b: int
-    r: int
-    order: int
-    entries: Dict[int, LaurentPoly] = field(default_factory=dict)
-
-    def fill(self, c_values: Sequence[int],
-             engine: Optional[HomflyEngine] = None):
-        for c in c_values:
-            self.entries[c] = q_diff(self.order, self.a, self.b, c, self.r,
-                                     engine)
-        return self
 
 
 # -- catalog factorization --------------------------------------------------
@@ -229,8 +226,7 @@ def check_theorem_1(a: int, b: int, m: int, r: int,
 def check_conjecture_main(a: int, b: int, c: int, r: int,
                           engine: Optional[HomflyEngine] = None) -> Verdict:
     """Q^r(c, r) A^r q^(2r(r-1)) = Q^r(c+2, r)."""
-    d0 = q_diff(r, a, b, c, r, engine)
-    d1 = q_diff(r, a, b, c + 2, r, engine)
+    d0, d1 = q_diff_window(r, (a, b), [c, c + 2], r, engine)
     lhs = d0.shift(Monomial(1, r, 2 * r * (r - 1)))
     if lhs == d1:
         return Verdict.holds(

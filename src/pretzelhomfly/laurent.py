@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .errors import DivisionByZero, NotDivisible, ParseError, ZeroPolynomial
@@ -137,7 +138,7 @@ class LaurentPoly:
         """gcd of the coefficients (0 for the zero polynomial)."""
         g = 0
         for c in self.terms.values():
-            g = _gcd(g, abs(c))
+            g = gcd(g, abs(c))
             if g == 1:
                 return 1
         return g
@@ -348,12 +349,6 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({(0, 0): 1})
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- univariate helpers for exact division --------------------------------

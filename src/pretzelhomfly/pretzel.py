@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cache import HomflyCache, cache_key
-from .errors import EngineError, NoCanonicalUnit, RepCapExceeded, ZeroPolynomial
+from .errors import (CorruptStore, EngineError, NoCanonicalUnit, RepCapExceeded,
+                     ZeroPolynomial)
 from .laurent import LaurentPoly, Monomial
 from .qcore import RationalFn, chi_rows
-from .racah import RadicalContext, RadicalValue, build_S, build_Sbar, twist_row
+from .racah import (RadicalContext, RadicalValue, build_S, build_Sbar,
+                    build_Tbar, twist_row)
 from .symfunc import YoungDiagram, schur_hook
 
 DEFAULT_REP_CAP = 5
@@ -148,12 +150,16 @@ class HomflyEngine:
 
     # -- the invariant ------------------------------------------------------
 
-    def homfly(self, spec: PretzelSpec) -> HomflyResult:
-        r = spec.rep
-        if r > self.rep_cap:
-            raise RepCapExceeded(f"r={r} exceeds the configured cap {self.rep_cap}")
+    def _check_knot(self, spec: PretzelSpec):
+        if spec.rep > self.rep_cap:
+            raise RepCapExceeded(
+                f"r={spec.rep} exceeds the configured cap {self.rep_cap}")
         if not spec.all_odd and not self.allow_even:
             raise ValueError(f"pretzel parameters must all be odd: {spec.params}")
+
+    def homfly(self, spec: PretzelSpec) -> HomflyResult:
+        self._check_knot(spec)
+        r = spec.rep
         key = cache_key(spec.params, r)
         with self._lock:
             hit = self._memo.get(key)
@@ -175,6 +181,63 @@ class HomflyEngine:
         if self.cache is not None:
             self.cache.put(key, poly, duration)
         return result
+
+    def family(self, prefix: Sequence[int], c_values: Sequence[int],
+               r: int) -> List[LaurentPoly]:
+        """Canonical polynomials of the knots prefix + (c,), c in c_values.
+
+        c_values steps by 2.  The last parameter enters the assembled sum
+        only through T-bar^c, so the raw (pre-framing) members obey a linear
+        recurrence of order r+1 whose characteristic roots are the diagonal
+        entries mu_k = A^2k q^2k(k-1) of T-bar^2.  The r+1 consecutive
+        members nearest c = 0, the cheapest to assemble, are seeds and come
+        through homfly().  Every other member takes monomial-coefficient
+        steps forward or backward from them, then is framed, memoised and
+        stored as homfly() would.  A window of at most r+1 members is all
+        seeds, so no knot outside the window is ever assembled.
+        """
+        specs = [PretzelSpec(tuple(prefix) + (c,), r) for c in c_values]
+        if any(d - c != 2 for c, d in zip(c_values, c_values[1:])):
+            raise ValueError(f"family members must step by 2: {list(c_values)}")
+        order = r + 1
+        if len(specs) <= order:
+            return [self.homfly(spec).poly for spec in specs]
+        # members share the prefix, r and the parity of c: one check covers all
+        self._check_knot(specs[0])
+        start = min(range(len(specs) - order + 1),
+                    key=lambda s: sum(abs(c) for c in c_values[s:s + order]))
+        canon: List[Optional[LaurentPoly]] = [None] * len(specs)
+        raw: List[Optional[LaurentPoly]] = [None] * len(specs)
+        for i in range(start, start + order):
+            seed = self.homfly(specs[i])
+            canon[i] = seed.poly
+            if seed.framing_unit is not None:
+                raw[i] = seed.poly.shift(seed.framing_unit)
+                continue
+            # served from the store: the raw value needs the unit, so assemble
+            raw[i] = self.homfly_rational(specs[i]).to_poly()
+            if canonicalize_framing(raw[i])[1] != seed.poly:
+                raise CorruptStore(
+                    f"stored value of {specs[i].label()} disagrees with assembly")
+        coeffs = _char_poly(build_Tbar(r, 2))
+        inv_const = coeffs[0].as_monomial().inverse()
+        forward = range(start + order, len(specs))
+        backward = range(start - 1, -1, -1)
+        for i in [*forward, *backward]:
+            started = time.monotonic()
+            if i > start:
+                raw[i] = -_dot(coeffs[:order], raw[i - order:i])
+            else:
+                raw[i] = (-_dot(coeffs[1:], raw[i + 1:i + order + 1])
+                          ).shift(inv_const)
+            unit, canon[i] = canonicalize_framing(raw[i])
+            key = cache_key(specs[i].params, r)
+            result = HomflyResult(canon[i], specs[i], unit)
+            with self._lock:
+                fresh = self._memo.setdefault(key, result) is result
+            if fresh and self.cache is not None:
+                self.cache.put(key, canon[i], time.monotonic() - started)
+        return canon
 
     def homfly_rational(self, spec: PretzelSpec) -> RationalFn:
         """The assembled invariant before polynomial conversion or framing.
@@ -202,6 +265,26 @@ class HomflyEngine:
         poly = self.homfly_rational(spec).to_poly()
         unit, canon = canonicalize_framing(poly)
         return canon, unit
+
+
+def _char_poly(roots: Sequence[Monomial]) -> List[LaurentPoly]:
+    """Coefficients of prod_k (x - root_k), constant term first; the
+    constant term is the monomial (-1)^len(roots) prod_k root_k."""
+    coeffs = [LaurentPoly.one()]
+    for root in roots:
+        neg = Monomial(-root.sign, root.expA, root.expQ)
+        coeffs = [lower + c for lower, c in
+                  zip([LaurentPoly.zero()] + coeffs,
+                      [c.shift(neg) for c in coeffs] + [LaurentPoly.zero()])]
+    return coeffs
+
+
+def _dot(coeffs: Sequence[LaurentPoly],
+         values: Sequence[LaurentPoly]) -> LaurentPoly:
+    total = LaurentPoly.zero()
+    for c, v in zip(coeffs, values):
+        total = total + c * v
+    return total
 
 
 _default_engine = HomflyEngine()

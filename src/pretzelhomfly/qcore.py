@@ -4,8 +4,14 @@ A :class:`RationalFn` keeps its denominator as a multiset of unit-stripped
 polynomial factors rather than a single expanded polynomial.  Sums then share
 denominators factor-by-factor (multiset max instead of a full product), and
 cancellation is trial exact division against each factor, so no general GCD is
-ever needed.  In practice every denominator that appears is a product of
-quantum brackets {q^j} and {Aq^j}, which is what makes this cheap.
+ever needed.  Factors are kept as they arrive, never factored further: a
+quantum bracket {q^j} or {Aq^j} stays a binomial, but ``inverse()`` moves a
+whole numerator into the bag and ``div_sqrt`` (in racah) divides by a whole
+radicand.  At r = 3 the S and S-bar entries carry 13 distinct denominator
+factors, only 3 of them binomials, the largest with 346 terms; up to a unit
+each splits into factors A^2 q^2k - 1 and cyclotomic Phi_d(q^2), but the bag
+does not know that, so trial division is tried against the unexpanded
+products.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import DiagramTooLarge, OutOfRange
@@ -168,7 +168,7 @@ class _FracRational:
         lcm = 1
         for c in self.num.values():
             d = c.denominator
-            g = _gcd(lcm, d)
+            g = gcd(lcm, d)
             lcm = lcm // g * d
         int_num = LaurentPoly({e: int(c * lcm) for e, c in self.num.items()})
         out = RationalFn.from_poly(int_num)
@@ -178,12 +178,6 @@ class _FracRational:
         if lcm != 1:
             out = out.div_poly(LaurentPoly.const(lcm))
         return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _partitions_with_mults(n: int) -> Iterator[Dict[int, int]]:

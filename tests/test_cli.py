@@ -79,6 +79,46 @@ class TestDiff:
                            "--rep", "1", "--c-range", "1:3")
         assert code == EXIT_USAGE
 
+    def test_warm_store_byte_identical(self, capsys, tmp_path, monkeypatch):
+        # window -3..7 holds six members at r = 1: two seeds, four from the
+        # recurrence; on the warm pass the seeds are read from the store and
+        # assembled again for their raw (pre-framing) values
+        from pretzelhomfly.pretzel import HomflyEngine
+        argv = ("diff", "--order", "2", "--params", "1,3", "--rep", "1",
+                "--c-range=-3:3", "--format", "json")
+        d = str(tmp_path)
+        _, plain, _ = run(capsys, *argv)
+        _, cold, _ = run(capsys, *argv, "--cache-dir", d)
+        assert len(list(tmp_path.glob("*/*.json"))) == 6
+        calls = []
+        assemble = HomflyEngine.homfly_rational
+        monkeypatch.setattr(HomflyEngine, "homfly_rational",
+                            lambda self, spec: calls.append(spec)
+                            or assemble(self, spec))
+        _, warm, _ = run(capsys, *argv, "--cache-dir", d)
+        assert plain == cold == warm
+        assert len(calls) == 2
+        assert len(json.loads(plain)["entries"]) == 4
+
+    def test_even_c_is_usage(self, capsys):
+        code, _, err = run(capsys, "diff", "--order", "3", "--params", "1,1",
+                           "--rep", "1", "--c-range", "0:4")
+        assert code == EXIT_USAGE
+        assert "ValueError" in err
+
+    @pytest.mark.parametrize("c_range", ["5:3", "7:-7"])
+    def test_empty_range_computes_nothing(self, capsys, monkeypatch, c_range):
+        from pretzelhomfly.pretzel import HomflyEngine
+        calls = []
+        monkeypatch.setattr(HomflyEngine, "homfly_rational",
+                            lambda self, spec: calls.append(spec))
+        code, out, _ = run(capsys, "diff", "--order", "3", "--params", "1,1",
+                           "--rep", "1", f"--c-range={c_range}",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert '"entries":[]' in out
+        assert calls == []
+
 
 class TestVerify:
     def test_theorem1_single_holds(self, capsys):

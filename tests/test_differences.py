@@ -8,11 +8,11 @@ is a property of the mathematics, not of this implementation.
 
 import pytest
 
-from pretzelhomfly.differences import (DifferenceTable, check_conjecture_main,
+from pretzelhomfly.differences import (check_conjecture_main,
                                        check_conjecture_mono,
                                        check_genus_vanishing, check_theorem_1,
                                        factor_X, four_point_divisor, q_diff,
-                                       q_diff_genus, special_point_monomials)
+                                       q_diff_window, special_point_monomials)
 from pretzelhomfly.errors import ZeroPolynomial
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.pretzel import HomflyEngine
@@ -41,13 +41,21 @@ class TestQDiff:
                       - q_diff(1, 1, 1, 1, 1, engine))
 
     def test_genus_variant_matches_genus2(self, engine):
-        assert q_diff_genus(1, (1, 1, 1), 1, engine) == q_diff(
-            1, 1, 1, 1, 1, engine)
+        from pretzelhomfly.pretzel import PretzelSpec
+        assert q_diff_window(1, (1, 1), [1], 1, engine) == [
+            q_diff(1, 1, 1, 1, 1, engine)]
+        # genus 4, three members at r = 1: one member comes from the
+        # recurrence, which holds in the last parameter at any genus
+        h = [HomflyEngine().homfly(PretzelSpec((1, 1, 1, 1, c), 1)).poly
+             for c in (1, 3, 5)]
+        assert q_diff_window(2, (1, 1, 1, 1), [1], 1, engine) == [
+            h[2] - h[1].scale(2) + h[0]]
 
     def test_table_fill(self, engine):
-        t = DifferenceTable(a=1, b=1, r=1, order=1).fill((1, 3), engine)
-        assert set(t.entries) == {1, 3}
-        assert t.entries[1] == q_diff(1, 1, 1, 1, 1, engine)
+        rows = q_diff_window(1, (1, 1), range(1, 4, 2), 1, engine)
+        assert rows == [q_diff(1, 1, 1, 1, 1, engine),
+                        q_diff(1, 1, 1, 3, 1, engine)]
+        assert q_diff_window(1, (1, 1), range(3, 1, 2), 1, engine) == []
 
 
 class TestFourPointDivisor:

@@ -166,3 +166,57 @@ class TestRationalForm:
         assert rf.is_polynomial
         unit, canon = canonicalize_framing(rf.to_poly())
         assert canon == H(engine, (1, 1, 1), 1)
+
+
+class TestFamily:
+    """Members from the evolution recurrence equal direct assembly."""
+
+    @staticmethod
+    def direct(engine, params, r):
+        return canonicalize_framing(
+            engine.homfly_rational(PretzelSpec(params, r)).to_poly())
+
+    # c = -5..3: the seeds sit at -1..1 (r = 1) or -3..1 (r = 2), so the
+    # window needs both backward and forward steps
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("a,b", [(a, b) for a in (-3, -1, 1, 3)
+                                     for b in (-3, -1, 1, 3) if a <= b])
+    def test_matches_direct(self, engine, a, b, r):
+        cs = range(-5, 4, 2)
+        polys = engine.family((a, b), cs, r)
+        for c, poly in zip(cs, polys):
+            unit, canon = self.direct(engine, (a, b, c), r)
+            assert poly == canon, (a, b, c, r)
+            # members are memoised with their framing unit
+            assert engine.homfly(PretzelSpec((a, b, c), r)).framing_unit == unit
+
+    def test_r3_order3_window(self, engine):
+        from pretzelhomfly.differences import q_diff_window
+        cs = range(-7, 6, 2)
+        diffs = q_diff_window(3, (1, 1), cs[:4], 3, engine)
+        members = [self.direct(engine, (1, 1, c), 3)[1] for c in cs]
+        for j, d in enumerate(diffs):
+            m = members[j:j + 4]
+            assert d == m[3] - m[2].scale(3) + m[1].scale(3) - m[0]
+
+    def test_small_window_is_homfly(self, engine):
+        assert engine.family((1, 3), [1, 3], 1) == [
+            H(engine, (1, 3, 1), 1), H(engine, (1, 3, 3), 1)]
+        assert engine.family((1, 3), [], 1) == []
+
+    def test_rejects_bad_windows(self, engine):
+        with pytest.raises(ValueError):
+            engine.family((1, 1), [0, 2, 4], 1)
+        with pytest.raises(ValueError):
+            engine.family((1, 1), [1, 5, 7], 1)
+        with pytest.raises(RepCapExceeded):
+            engine.family((1, 1), [1, 3], engine.rep_cap + 1)
+
+    def test_stored_seed_checked_against_assembly(self, tmp_path):
+        from pretzelhomfly.cache import HomflyCache, cache_key
+        from pretzelhomfly.errors import CorruptStore
+        cache = HomflyCache(tmp_path)
+        # a well-formed entry with the wrong value for the seed (1,3,-1)
+        cache.put(cache_key((1, 3, -1), 1), H(HomflyEngine(), (1, 1, 1), 1))
+        with pytest.raises(CorruptStore):
+            HomflyEngine(cache=cache).family((1, 3), range(-3, 4, 2), 1)
