@@ -38,8 +38,6 @@ def cache_key(params: Sequence[int], r: int,
 class CacheEntry:
     key: tuple
     poly: LaurentPoly
-    timestamp: float
-    duration: float
 
 
 class HomflyCache:
@@ -69,12 +67,9 @@ class HomflyCache:
         digest = hashlib.sha256(body.encode()).hexdigest()
         if obj.get("checksum") != digest:
             raise CorruptStore(f"checksum mismatch in {path}")
-        return CacheEntry(key=key,
-                          poly=LaurentPoly.from_json(obj["poly"]),
-                          timestamp=obj.get("timestamp", 0.0),
-                          duration=obj.get("duration", 0.0))
+        return CacheEntry(key=key, poly=LaurentPoly.from_json(obj["poly"]))
 
-    def put(self, key: tuple, poly: LaurentPoly, duration: float = 0.0):
+    def put(self, key: tuple, poly: LaurentPoly):
         path = self._path(key)
         body = poly.to_json()
         obj = {
@@ -84,7 +79,6 @@ class HomflyCache:
             "checksum": hashlib.sha256(
                 json.dumps(body, sort_keys=True).encode()).hexdigest(),
             "timestamp": time.time(),
-            "duration": duration,
         }
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import List, Optional
 
@@ -66,8 +65,6 @@ def _cmd_homfly(args) -> int:
     result = eng.homfly(PretzelSpec(args.params, args.rep))
     payload = {"params": list(args.params), "rep": args.rep,
                "poly": result.poly.to_text()}
-    if result.framing_unit is not None:
-        payload["framing_unit"] = result.framing_unit.as_poly().to_text()
     _emit(payload, args.format, lambda o: o["poly"])
     return EXIT_OK
 
@@ -150,12 +147,9 @@ def _cmd_verify(args) -> int:
 
     if args.property == "theorem1":
         if args.depth:
-            cases = list(_theorem1_cases(args.depth))
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                verdicts = list(pool.map(
-                    lambda t: check_theorem_1(*t, engine=eng), cases))
-            for (a, b, m, r), v in zip(cases, verdicts):
-                record(f"theorem1(a={a},b={b},m={m},r={r})", v)
+            for a, b, m, r in _theorem1_cases(args.depth):
+                record(f"theorem1(a={a},b={b},m={m},r={r})",
+                       check_theorem_1(a, b, m, r, eng))
         else:
             a, b = args.params
             record(f"theorem1(a={a},b={b},m={args.m},r={args.rep})",
@@ -282,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=0,
                    help="sweep depth (max r for theorem1 sweeps / max-r for "
                         "F-factor conjectures)")
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

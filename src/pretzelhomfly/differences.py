@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineError, NotDivisible, ZeroPolynomial
 from .laurent import LaurentPoly, Monomial
-from .pretzel import HomflyEngine, PretzelSpec, _default_engine
+from .pretzel import (HomflyEngine, PretzelSpec, _default_engine,
+                      canonicalize_framing)
 from .report import Verdict
 
 
@@ -258,13 +259,23 @@ class MonoVerdicts:
                 "step_c_plus_2": self.odd_step.to_json()}
 
 
-def _mono_quotient(a: int, b: int, c: int, r: int,
-                   engine: HomflyEngine) -> Optional[LaurentPoly]:
-    d = q_diff(1, a, b, c, r, engine)
+def _mono_quotient(d: LaurentPoly) -> Optional[LaurentPoly]:
+    """Q^1 / X(Q^1), or None when Q^1 = 0."""
     if d.is_zero:
         return None
-    report = factor_X(d)
-    return d.exact_div(report.X)
+    return d.exact_div(factor_X(d).X)
+
+
+def _literal_q_diff(a: int, b: int, c: int, r: int,
+                    engine: HomflyEngine) -> LaurentPoly:
+    """Q^1(c+1, r) over the even members c+1, c+3 (in that order).
+
+    homfly() rejects even parameters, so each member is assembled and framed
+    here directly; such members are neither memoised nor stored.
+    """
+    lo, hi = [canonicalize_framing(engine.homfly_rational(
+        PretzelSpec((a, b, e), r)).to_poly())[1] for e in (c + 1, c + 3)]
+    return hi - lo
 
 
 def check_conjecture_mono(a: int, b: int, c: int, r: int,
@@ -276,17 +287,15 @@ def check_conjecture_mono(a: int, b: int, c: int, r: int,
     noise rather than content.
     """
     eng = engine or _default_engine
-    even_engine = HomflyEngine(cache=eng.cache, rep_cap=eng.rep_cap,
-                               allow_even=True)
-    base = _mono_quotient(a, b, c, r, eng)
+    base = _mono_quotient(q_diff(1, a, b, c, r, eng))
     if base is None:
         return MonoVerdicts(Verdict.insufficient("Q^1(c,r) = 0; X undefined"),
                             Verdict.insufficient("Q^1(c,r) = 0; X undefined"))
     verdicts = []
     for step in (1, 2):
         try:
-            other = _mono_quotient(a, b, c + step, r,
-                                   even_engine if step == 1 else eng)
+            other = _mono_quotient(_literal_q_diff(a, b, c, r, eng) if step == 1
+                                   else q_diff(1, a, b, c + 2, r, eng))
         except EngineError as exc:
             verdicts.append(Verdict.insufficient(
                 f"base c+{step} not computable: {type(exc).__name__}: {exc}"))

@@ -8,8 +8,6 @@ cancels pairwise in this sum; the engine asserts that instead of assuming it.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +20,7 @@ from .racah import (RadicalContext, RadicalValue, build_S, build_Sbar,
                     build_Tbar, twist_row)
 from .symfunc import YoungDiagram, schur_hook
 
-DEFAULT_REP_CAP = 5
+REP_CAP = 5  # largest r the engine computes
 
 
 @dataclass(frozen=True)
@@ -99,16 +97,12 @@ def canonicalize_framing(p: LaurentPoly) -> Tuple[Monomial, LaurentPoly]:
 class HomflyEngine:
     """Computes pretzel HOMFLY polynomials with matrix/row/result memoization.
 
-    Safe for concurrent use: Racah matrices and twist rows are built once per
-    (r, n) under a lock and shared immutably afterwards.
+    Racah matrices, twist rows and results are plain dict memos, each built
+    once per key.  Single-threaded: not safe for concurrent use.
     """
 
-    def __init__(self, cache: Optional[HomflyCache] = None,
-                 rep_cap: int = DEFAULT_REP_CAP, allow_even: bool = False):
+    def __init__(self, cache: Optional[HomflyCache] = None):
         self.cache = cache
-        self.rep_cap = rep_cap
-        self.allow_even = allow_even
-        self._lock = threading.Lock()
         self._ctx: Dict[int, RadicalContext] = {}
         self._S: Dict[int, list] = {}
         self._Sbar: Dict[int, list] = {}
@@ -119,67 +113,52 @@ class HomflyEngine:
     # -- shared building blocks -------------------------------------------
 
     def matrices(self, r: int):
-        with self._lock:
-            if r not in self._S:
-                ctx = RadicalContext(r)
-                self._ctx[r] = ctx
-                self._S[r] = build_S(r, ctx)
-                self._Sbar[r] = build_Sbar(r, ctx)
-            return self._ctx[r], self._S[r], self._Sbar[r]
+        if r not in self._S:
+            ctx = RadicalContext(r)
+            self._ctx[r] = ctx
+            self._S[r] = build_S(r, ctx)
+            self._Sbar[r] = build_Sbar(r, ctx)
+        return self._ctx[r], self._S[r], self._Sbar[r]
 
     def twist_row(self, r: int, n: int) -> List[RadicalValue]:
-        ctx, S, Sbar = self.matrices(r)
-        with self._lock:
-            if (r, n) not in self._rows:
-                self._rows[(r, n)] = twist_row(r, n, S, Sbar, ctx)
-            return self._rows[(r, n)]
+        if (r, n) not in self._rows:
+            ctx, S, Sbar = self.matrices(r)
+            self._rows[(r, n)] = twist_row(r, n, S, Sbar, ctx)
+        return self._rows[(r, n)]
 
     def chi_single_row(self, r: int) -> RationalFn:
         """chi_{[r,0]}, cross-checked against the hook-product Schur value."""
-        with self._lock:
-            cached = self._chi.get(r)
-        if cached is not None:
-            return cached
-        chi = chi_rows(r, 0)
-        if chi != schur_hook(YoungDiagram([r])):
-            raise EngineError(
-                f"chi_[{r},0] disagrees with the hook-product Schur value")
-        with self._lock:
+        if r not in self._chi:
+            chi = chi_rows(r, 0)
+            if chi != schur_hook(YoungDiagram([r])):
+                raise EngineError(
+                    f"chi_[{r},0] disagrees with the hook-product Schur value")
             self._chi[r] = chi
-        return chi
+        return self._chi[r]
 
     # -- the invariant ------------------------------------------------------
 
     def _check_knot(self, spec: PretzelSpec):
-        if spec.rep > self.rep_cap:
-            raise RepCapExceeded(
-                f"r={spec.rep} exceeds the configured cap {self.rep_cap}")
-        if not spec.all_odd and not self.allow_even:
+        _check_rep(spec.rep)
+        if not spec.all_odd:
             raise ValueError(f"pretzel parameters must all be odd: {spec.params}")
 
     def homfly(self, spec: PretzelSpec) -> HomflyResult:
         self._check_knot(spec)
         r = spec.rep
         key = cache_key(spec.params, r)
-        with self._lock:
-            hit = self._memo.get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return HomflyResult(hit.poly, spec, hit.framing_unit)
         if self.cache is not None:
             entry = self.cache.get(key)
             if entry is not None:
-                result = HomflyResult(entry.poly, spec, None)
-                with self._lock:
-                    self._memo[key] = result
+                result = self._memo[key] = HomflyResult(entry.poly, spec, None)
                 return result
-        started = time.monotonic()
         poly, unit = self._compute(spec)
-        duration = time.monotonic() - started
-        result = HomflyResult(poly, spec, unit)
-        with self._lock:
-            self._memo[key] = result
+        result = self._memo[key] = HomflyResult(poly, spec, unit)
         if self.cache is not None:
-            self.cache.put(key, poly, duration)
+            self.cache.put(key, poly)
         return result
 
     def family(self, prefix: Sequence[int], c_values: Sequence[int],
@@ -224,7 +203,6 @@ class HomflyEngine:
         forward = range(start + order, len(specs))
         backward = range(start - 1, -1, -1)
         for i in [*forward, *backward]:
-            started = time.monotonic()
             if i > start:
                 raw[i] = -_dot(coeffs[:order], raw[i - order:i])
             else:
@@ -232,11 +210,11 @@ class HomflyEngine:
                           ).shift(inv_const)
             unit, canon[i] = canonicalize_framing(raw[i])
             key = cache_key(specs[i].params, r)
-            result = HomflyResult(canon[i], specs[i], unit)
-            with self._lock:
-                fresh = self._memo.setdefault(key, result) is result
-            if fresh and self.cache is not None:
-                self.cache.put(key, canon[i], time.monotonic() - started)
+            if key in self._memo:
+                continue
+            self._memo[key] = HomflyResult(canon[i], specs[i], unit)
+            if self.cache is not None:
+                self.cache.put(key, canon[i])
         return canon
 
     def homfly_rational(self, spec: PretzelSpec) -> RationalFn:
@@ -247,8 +225,7 @@ class HomflyEngine:
         form in which such values exist at all.
         """
         r = spec.rep
-        if r > self.rep_cap:
-            raise RepCapExceeded(f"r={r} exceeds the configured cap {self.rep_cap}")
+        _check_rep(r)
         g = spec.genus
         rows = [self.twist_row(r, n) for n in spec.params]
         _, S, _ = self.matrices(r)
@@ -265,6 +242,11 @@ class HomflyEngine:
         poly = self.homfly_rational(spec).to_poly()
         unit, canon = canonicalize_framing(poly)
         return canon, unit
+
+
+def _check_rep(r: int):
+    if r > REP_CAP:
+        raise RepCapExceeded(f"r={r} exceeds the configured cap {REP_CAP}")
 
 
 def _char_poly(roots: Sequence[Monomial]) -> List[LaurentPoly]:

@@ -37,13 +37,25 @@ class TestStore:
     def test_miss_on_empty(self, cache):
         assert cache.get(cache_key((1, 1, 1), 1)) is None
 
-    def test_put_get_round_trip(self, cache):
+    def test_put_get_round_trip(self, cache, tmp_path):
         key = cache_key((1, 1, 1), 1)
-        cache.put(key, SAMPLE, duration=0.5)
+        cache.put(key, SAMPLE)
         entry = cache.get(key)
         assert entry is not None
         assert entry.poly == SAMPLE
-        assert entry.duration == 0.5
+        (path,) = tmp_path.glob("*/*.json")
+        assert set(json.loads(path.read_text())) == {
+            "key", "version", "poly", "checksum", "timestamp"}
+
+    def test_reads_entry_with_duration(self, cache, tmp_path):
+        # entries written before the field was dropped still read
+        key = cache_key((1, 1, 1), 1)
+        cache.put(key, SAMPLE)
+        (path,) = tmp_path.glob("*/*.json")
+        obj = json.loads(path.read_text())
+        obj["duration"] = 0.5
+        path.write_text(json.dumps(obj))
+        assert cache.get(key).poly == SAMPLE
 
     def test_stale_version_misses(self, cache, tmp_path):
         key = cache_key((1, 1, 1), 1)

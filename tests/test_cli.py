@@ -20,15 +20,14 @@ class TestHomfly:
         assert code == EXIT_OK
         assert out.strip() == "-A^4 + A^2*q^2 + A^2*q^-2"
 
-    def test_json_deterministic(self, capsys):
-        _, out1, _ = run(capsys, "homfly", "--params", "3,3,-3", "--rep", "1",
-                         "--format", "json")
-        _, out2, _ = run(capsys, "homfly", "--params", "3,3,-3", "--rep", "1",
-                         "--format", "json")
-        assert out1 == out2
-        obj = json.loads(out1)
-        assert obj["params"] == [3, 3, -3]
-        assert obj["framing_unit"] == "1"
+    def test_json_deterministic(self, capsys, tmp_path):
+        argv = ("homfly", "--params", "3,3,-3", "--rep", "1", "--format", "json")
+        _, plain, _ = run(capsys, *argv)
+        store = ("--cache-dir", str(tmp_path))
+        _, cold, _ = run(capsys, *argv, *store)
+        _, warm, _ = run(capsys, *argv, *store)  # served from the store
+        assert plain == cold == warm
+        assert json.loads(plain)["params"] == [3, 3, -3]
 
 
 class TestAlexanderAndDefect:

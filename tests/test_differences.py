@@ -156,6 +156,26 @@ class TestConjectureMono:
         assert mv.literal_step.status == INSUFFICIENT
         assert "NotPolynomial" in mv.literal_step.detail
 
+    @pytest.mark.parametrize("r,status", [(1, HOLDS), (2, FAILS)])
+    def test_literal_step_computes_for_minus_a_a(self, engine, r, status):
+        # (-3, 3, c+1) has a polynomial invariant: the step is not always
+        # insufficient-data
+        mv = check_conjecture_mono(-3, 3, 1, r, engine)
+        assert mv.literal_step.status == status
+
+    def test_one_S_build_per_call(self, monkeypatch):
+        from pretzelhomfly import pretzel
+        built = []
+        real = pretzel.build_S
+
+        def counting(r, ctx):
+            built.append(r)
+            return real(r, ctx)
+
+        monkeypatch.setattr(pretzel, "build_S", counting)
+        check_conjecture_mono(1, 1, 1, 2, HomflyEngine())
+        assert built == [2]
+
     def test_odd_step_holds(self, engine):
         mv = check_conjecture_mono(1, 1, 1, 1, engine)
         assert mv.odd_step.status == HOLDS

@@ -4,7 +4,7 @@ import pytest
 
 from pretzelhomfly.errors import NoCanonicalUnit, RepCapExceeded, ZeroPolynomial
 from pretzelhomfly.laurent import LaurentPoly, Monomial
-from pretzelhomfly.pretzel import (HomflyEngine, PretzelSpec,
+from pretzelhomfly.pretzel import (REP_CAP, HomflyEngine, PretzelSpec,
                                    canonicalize_framing, homfly,
                                    permutation_check)
 
@@ -37,10 +37,9 @@ class TestSpec:
         with pytest.raises(ValueError):
             engine.homfly(PretzelSpec((1, 2, 3), 1))
 
-    def test_rep_cap(self):
-        eng = HomflyEngine(rep_cap=2)
+    def test_rep_cap(self, engine):
         with pytest.raises(RepCapExceeded):
-            eng.homfly(PretzelSpec((1, 1, 1), 3))
+            engine.homfly(PretzelSpec((1, 1, 1), REP_CAP + 1))
 
 
 class TestGoldenValues:
@@ -210,7 +209,7 @@ class TestFamily:
         with pytest.raises(ValueError):
             engine.family((1, 1), [1, 5, 7], 1)
         with pytest.raises(RepCapExceeded):
-            engine.family((1, 1), [1, 3], engine.rep_cap + 1)
+            engine.family((1, 1), [1, 3], REP_CAP + 1)
 
     def test_stored_seed_checked_against_assembly(self, tmp_path):
         from pretzelhomfly.cache import HomflyCache, cache_key
