@@ -249,7 +249,10 @@ def check_conjecture_main(a: int, b: int, c: int, r: int,
 @dataclass
 class MonoVerdicts:
     """Conjecture 4 under both step readings; c is always odd in the paper,
-    so the literal c+1 step lands on even parameters (a link, not a knot)."""
+    so the literal c+1 step lands on the members (a, b, c+1) and (a, b, c+3)
+    with one even parameter.  Those are knots, but the engine assembles them
+    with its all-odd formula, and no test compares that value with an
+    independent HOMFLY of the knot."""
 
     literal_step: Verdict   # c -> c+1 as written
     odd_step: Verdict       # c -> c+2, the presumed intent

@@ -14,8 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, RadicalResidue
 from .laurent import LaurentPoly, Monomial
-from .qcore import (RationalFn, bigD, bigG, chi_two_row, delta, qfact, qint,
-                    rational_from_factors)
+from .qcore import RationalFn, bigD, bigG, chi_two_row, delta, qfact_ratio
 
 RadKey = Tuple[str, int]
 
@@ -38,7 +37,7 @@ class RadicalContext:
             elif kind == "chi":
                 value = chi_two_row(self.r, idx)
             elif kind == "odd":
-                value = RationalFn.from_poly(qint(idx))
+                value = qfact_ratio([idx], [idx - 1])  # [idx]
             else:
                 raise IndexOutOfRange(f"unknown radicand basis key {key}")
             self._radicands[key] = value
@@ -136,10 +135,6 @@ class RadicalValue:
             out = out * self.ctx.radicand(key)
         return out
 
-    def to_json(self) -> dict:
-        return {"coeff": self.coeff.to_json(),
-                "rad": [list(k) for k in sorted(self.rad)]}
-
     def __repr__(self):
         rads = " ".join(f"sqrt({kind}_{idx})" for kind, idx in sorted(self.rad))
         return f"RadicalValue({self.coeff.to_text()}{' ' + rads if rads else ''})"
@@ -156,12 +151,11 @@ def sigma(k: int, m: int, j: int, r: int, ctx: Optional[RadicalContext] = None
         raise IndexOutOfRange(f"sigma summation index j={j} out of range")
     ctx = ctx or RadicalContext(r)
     sign = -1 if (r + k + m + j) % 2 else 1
-    num = [qfact(k), qfact(k), qfact(m), qfact(m), qfact(r - k), qfact(r - m),
-           qfact(j + 1)]
-    den = [qfact(r + k + 1), qfact(r + m + 1), qfact(2 * r - j)]
+    num = [k, k, m, m, r - k, r - m, j + 1]
+    den = [r + k + 1, r + m + 1, 2 * r - j]
     for t in (j - r - k, j - r - m, r + k + m - j):
-        den.extend([qfact(t), qfact(t)])
-    coeff = rational_from_factors(num, den).mul_poly(LaurentPoly.const(sign))
+        den.extend([t, t])
+    coeff = qfact_ratio(num, den).mul_poly(LaurentPoly.const(sign))
     out = RadicalValue.rational(ctx, coeff)
     return out.mul_sqrt(("odd", 2 * k + 1)).mul_sqrt(("odd", 2 * m + 1))
 
@@ -199,7 +193,7 @@ def build_Sbar(r: int, ctx: Optional[RadicalContext] = None
                ) -> List[List[RadicalValue]]:
     """The (r+1)x(r+1) Racah matrix S-bar with prefactor [r+1]! / prod D_i."""
     ctx = ctx or RadicalContext(r)
-    prefactor = RationalFn.from_poly(qfact(r + 1))
+    prefactor = qfact_ratio([r + 1])
     for i in range(r):
         prefactor = prefactor / bigD(i)
     matrix = []

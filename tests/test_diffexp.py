@@ -11,7 +11,7 @@ from pretzelhomfly.errors import (InexactDivision, NonzeroDefect,
                                   NotPalindromic, OddPower)
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.pretzel import HomflyEngine, PretzelSpec
-from pretzelhomfly.report import HOLDS
+from pretzelhomfly.report import FAILS, HOLDS
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,14 @@ def family_935(engine):
 def family_946(engine):
     hs = [engine.homfly(PretzelSpec((3, 3, -3), r)).poly for r in (1, 2, 3)]
     return extract_F(hs, "9_46")
+
+
+@pytest.fixture(scope="module")
+def families_r5(engine):
+    """H_[1..5] of 9_35 and 9_46."""
+    return {params: [engine.homfly(PretzelSpec(params, r)).poly
+                     for r in range(1, 6)]
+            for params in ((3, 3, 3), (3, 3, -3))}
 
 
 NINE_ONE_ALEXANDER = ("q^8 - q^6 + q^4 - q^2 + 1 - q^-2 + q^-4 - q^-6 + q^-8")
@@ -143,3 +151,24 @@ class TestConjectures:
     def test_insufficient_beyond_max_r(self, family_946):
         v = check_conjecture_946(family_946, 5)
         assert v.divisibility.status == "insufficient-data"
+
+
+class TestRepFive:
+    @pytest.mark.parametrize("params", [(3, 3, 3), (3, 3, -3)])
+    def test_expansion_round_trips(self, families_r5, params):
+        hs = families_r5[params]
+        # extract_F raises unless every triangular division is exact
+        fe = extract_F(hs, str(params))
+        assert fe.maxR == 5
+        assert reconstruct_H(fe, 5) == hs[4]
+
+    def test_935_holds_through_i5(self, families_r5):
+        fe = extract_F(families_r5[(3, 3, 3)], "9_35")
+        for i in range(2, 6):
+            assert check_conjecture_935(fe, i).status == HOLDS
+
+    def test_946_at_i5(self, families_r5):
+        fe = extract_F(families_r5[(3, 3, -3)], "9_46")
+        v = check_conjecture_946(fe, 5)
+        assert v.divisibility.status == HOLDS   # conjecture 2
+        assert v.quotient_step.status == FAILS  # conjecture 3

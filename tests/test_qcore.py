@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretzelhomfly.errors import DivisionByZero, NotPolynomial, OutOfRange
+from pretzelhomfly.errors import (DivisionByZero, NegativeInput, NotPolynomial,
+                                  OutOfRange)
 from pretzelhomfly.laurent import LaurentPoly, Monomial
-from pretzelhomfly.qcore import (RationalFn, bigD, bigG, chi_rows, chi_two_row,
+from pretzelhomfly.qcore import (RationalFn, _basis_poly, _basis_quotient,
+                                 _divides, bigD, bigG, chi_rows, chi_two_row,
                                  delta, qbinom, qbracket_Aq, qbracket_q, qfact,
-                                 qint)
+                                 qfact_ratio, qint)
 
 one = LaurentPoly.one()
 
@@ -88,11 +90,15 @@ class TestBigDG:
         assert chi_two_row(2, 1) == schur_hook(YoungDiagram([3, 1]))
 
 
-def rational_strategy():
+def poly_strategy(max_terms=3):
     term = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
                      st.integers(-5, 5).filter(bool))
-    poly = st.lists(term, min_size=1, max_size=3).map(
+    return st.lists(term, min_size=1, max_size=max_terms).map(
         lambda ts: LaurentPoly({(a, b): c for a, b, c in ts}))
+
+
+def rational_strategy():
+    poly = poly_strategy()
     dens = st.lists(st.sampled_from(
         [qbracket_q(1), qbracket_q(2), qbracket_Aq(0), qbracket_Aq(1)]),
         max_size=2)
@@ -147,3 +153,76 @@ class TestRationalFn:
     def test_eq_cross_multiplication(self):
         f = RationalFn.from_ratio(qint(2) * qbracket_q(1), qbracket_q(1))
         assert f == RationalFn.from_poly(qint(2))
+
+
+# Denominator factors: basis products ({q^j}, {Aq^j}, [n]), a factor outside
+# the basis (A - q) and irreducible pieces of basis factors (A q^j - 1 of
+# A^2 q^2j - 1, q + 1 of Phi_1(q^2) = q^2 - 1).
+den_factor = st.one_of(
+    st.integers(-3, 3).filter(bool).map(qbracket_q),
+    st.integers(-3, 3).map(qbracket_Aq),
+    st.integers(1, 5).map(qint),
+    st.just(LaurentPoly({(1, 0): 1, (0, 1): -1})),
+    st.integers(-2, 2).map(lambda j: LaurentPoly({(1, j): 1, (0, 0): -1})),
+    st.just(LaurentPoly({(0, 1): 1, (0, 0): 1})))
+
+basis_key = st.one_of(st.integers(-10, 10).map(lambda k: ("B", k)),
+                      st.integers(1, 12).map(lambda d: ("C", d)))
+
+
+class TestFactoredCancellation:
+    @given(poly_strategy(4), st.lists(den_factor, max_size=5), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_cancellation_is_complete(self, p, dens, factored):
+        f = RationalFn.from_poly(p)
+        for d in dens:
+            # an inverted reciprocal holds d split over the basis
+            f = (f * RationalFn.one().div_poly(d).inverse() if factored
+                 else f.mul_poly(d))
+        for i, d in enumerate(dens):
+            # alternate div_poly with multiplication by an inverse
+            f = f.div_poly(d) if i % 2 else f / RationalFn.from_poly(d)
+        assert f.is_polynomial
+        assert f.to_poly() == p
+
+    @given(rational_strategy(), rational_strategy(), poly_strategy(4))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_of_sum_round_trips(self, f, g, p):
+        s = f.mul_poly(p) + g
+        if s.is_zero:
+            return
+        inv = s.inverse()
+        assert inv.inverse() == s
+        prod = s * inv
+        assert prod.is_polynomial and prod.to_poly() == one
+
+    @given(basis_key, poly_strategy(5))
+    @settings(max_examples=150, deadline=None)
+    def test_divisibility_test_admits_every_multiple(self, key, g):
+        f = _basis_poly(key)
+        assert _divides(key, f * g)
+        assert _basis_quotient(f * g, key) == g
+
+    @given(basis_key, poly_strategy(5), poly_strategy(2))
+    @settings(max_examples=150, deadline=None)
+    def test_divisibility_test_is_exact(self, key, g, h):
+        p = _basis_poly(key) * g + h
+        assert _divides(key, p) == _basis_poly(key).divides(p)
+
+    def test_piece_of_a_basis_factor_cancels(self):
+        piece = LaurentPoly({(1, 1): 1, (0, 0): -1})  # A q - 1
+        aq_plus = LaurentPoly({(0, 0): 1, (-1, -1): 1})  # {Aq} / (A q - 1)
+        assert RationalFn.from_ratio(qbracket_Aq(1), piece).to_poly() == aq_plus
+        # the same with {Aq} held as the basis factor A^2 q^2 - 1
+        f = bigD(1).mul_poly(qbracket_q(1)).div_poly(piece)
+        assert f.to_poly() == aq_plus
+        g = RationalFn.from_ratio(piece, qbracket_Aq(1))
+        assert not g.is_polynomial
+        assert (g * f).to_poly() == one
+
+    def test_qfact_ratio_matches_expanded(self):
+        assert qfact_ratio([5, 2], [3]) == RationalFn.from_ratio(
+            qfact(5) * qfact(2), qfact(3))
+        assert qfact_ratio([4], [3]).to_poly() == qint(4)
+        with pytest.raises(NegativeInput):
+            qfact_ratio([-1])
