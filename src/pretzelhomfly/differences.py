@@ -15,8 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineError, NotDivisible, ZeroPolynomial
 from .laurent import LaurentPoly, Monomial
-from .pretzel import (HomflyEngine, PretzelSpec, _default_engine,
-                      canonicalize_framing)
+from .pretzel import HomflyEngine, PretzelSpec, _default_engine
 from .report import Verdict
 
 
@@ -249,10 +248,10 @@ def check_conjecture_main(a: int, b: int, c: int, r: int,
 @dataclass
 class MonoVerdicts:
     """Conjecture 4 under both step readings; c is always odd in the paper,
-    so the literal c+1 step lands on the members (a, b, c+1) and (a, b, c+3)
-    with one even parameter.  Those are knots, but the engine assembles them
-    with its all-odd formula, and no test compares that value with an
-    independent HOMFLY of the knot."""
+    so the literal c+1 step lands on the member (a, b, c+1), which has an
+    even parameter.  The engine's assembly is the all-odd (antiparallel)
+    formula and does not apply to it (its value there is often not even a
+    Laurent polynomial), so that step is always insufficient-data."""
 
     literal_step: Verdict   # c -> c+1 as written
     odd_step: Verdict       # c -> c+2, the presumed intent
@@ -269,18 +268,6 @@ def _mono_quotient(d: LaurentPoly) -> Optional[LaurentPoly]:
     return d.exact_div(factor_X(d).X)
 
 
-def _literal_q_diff(a: int, b: int, c: int, r: int,
-                    engine: HomflyEngine) -> LaurentPoly:
-    """Q^1(c+1, r) over the even members c+1, c+3 (in that order).
-
-    homfly() rejects even parameters, so each member is assembled and framed
-    here directly; such members are neither memoised nor stored.
-    """
-    lo, hi = [canonicalize_framing(engine.homfly_rational(
-        PretzelSpec((a, b, e), r)).to_poly())[1] for e in (c + 1, c + 3)]
-    return hi - lo
-
-
 def check_conjecture_mono(a: int, b: int, c: int, r: int,
                           engine: Optional[HomflyEngine] = None) -> MonoVerdicts:
     """Q^1(c,r)/X(Q^1(c,r)) compared at consecutive bases, both step rules.
@@ -289,26 +276,25 @@ def check_conjecture_mono(a: int, b: int, c: int, r: int,
     to a unit, so exact equality of unstripped quotients would be convention
     noise rather than content.
     """
-    eng = engine or _default_engine
-    base = _mono_quotient(q_diff(1, a, b, c, r, eng))
+    literal = Verdict.insufficient(
+        "member (a,b,c+1) has an even parameter, outside the all-odd "
+        "(antiparallel) formula")
+    odd = _odd_step(a, b, c, r, engine or _default_engine)
+    return MonoVerdicts(literal, odd)
+
+
+def _odd_step(a: int, b: int, c: int, r: int,
+              engine: HomflyEngine) -> Verdict:
+    base = _mono_quotient(q_diff(1, a, b, c, r, engine))
     if base is None:
-        return MonoVerdicts(Verdict.insufficient("Q^1(c,r) = 0; X undefined"),
-                            Verdict.insufficient("Q^1(c,r) = 0; X undefined"))
-    verdicts = []
-    for step in (1, 2):
-        try:
-            other = _mono_quotient(_literal_q_diff(a, b, c, r, eng) if step == 1
-                                   else q_diff(1, a, b, c + 2, r, eng))
-        except EngineError as exc:
-            verdicts.append(Verdict.insufficient(
-                f"base c+{step} not computable: {type(exc).__name__}: {exc}"))
-            continue
-        if other is None:
-            verdicts.append(Verdict.insufficient(f"Q^1(c+{step},r) = 0"))
-            continue
-        if base.strip_monomial()[1] == other.strip_monomial()[1]:
-            verdicts.append(Verdict.holds("quotients agree up to a unit"))
-        else:
-            verdicts.append(Verdict.fails(
-                other, "quotients differ beyond a monomial unit"))
-    return MonoVerdicts(*verdicts)
+        return Verdict.insufficient("Q^1(c,r) = 0; X undefined")
+    try:
+        other = _mono_quotient(q_diff(1, a, b, c + 2, r, engine))
+    except EngineError as exc:
+        return Verdict.insufficient(
+            f"base c+2 not computable: {type(exc).__name__}: {exc}")
+    if other is None:
+        return Verdict.insufficient("Q^1(c+2,r) = 0")
+    if base.strip_monomial()[1] == other.strip_monomial()[1]:
+        return Verdict.holds("quotients agree up to a unit")
+    return Verdict.fails(other, "quotients differ beyond a monomial unit")

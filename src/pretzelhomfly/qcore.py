@@ -21,10 +21,14 @@ Premise, measured over the inputs of the four benchmark workloads,
 ``verify conj-935 --depth 5``, ``verify conj-946 --depth 5`` and
 ``homfly --rep 5`` for (3,3,-3), (1,1,1) and (-3,5,1): every denominator
 factor splits into this basis, with k in [-1, 9] and d <= 11, and none is
-left over.  A factor outside the basis (``A - q``, or what remains of an
-inverted cofactor) is kept whole as an opaque denominator factor ``O``;
-cancellation against it is trial division of the full numerator, so
-``to_poly`` succeeds whenever the value is a polynomial.
+left over.  The same holds on the Jacobi-Trudi route of ``symfunc``, over
+every diagram of at most 10 boxes and 8 rows and [8,6,4,2,1,1]: each
+denominator is ("C", d) factors with d <= 13 times a partition weight in
+``den`` (at most 13!), with no ("B", k) and no opaque factor.  A factor
+outside the basis (``A - q``, or what remains of an inverted cofactor) is
+kept whole as an opaque denominator factor ``O``; cancellation against it
+is trial division of the full numerator, so ``to_poly`` succeeds whenever
+the value is a polynomial.
 
 Reduced form, restored after every operation: ``f`` does not divide ``cof``
 for each ``f`` with ``e < 0``; no ``O`` divides the numerator; ``den`` is
@@ -557,17 +561,6 @@ def _substitution_kernel(var: str, value: Monomial) -> LaurentPoly:
         f"cannot cancel a vanishing denominator for substitution {var} -> {value}")
 
 
-def rational_from_factors(num_polys: Iterable[LaurentPoly],
-                          den_polys: Iterable[LaurentPoly]) -> RationalFn:
-    num = LaurentPoly.one()
-    for p in num_polys:
-        num = num * p
-    out = RationalFn.from_poly(num)
-    for d in den_polys:
-        out = out.div_poly(d)
-    return out
-
-
 # -- the paper-facing quantum-number functions -----------------------------
 
 def _factored(poly: LaurentPoly, vec: Vec) -> RationalFn:
@@ -575,11 +568,13 @@ def _factored(poly: LaurentPoly, vec: Vec) -> RationalFn:
     return RationalFn(poly.strip_monomial()[0].as_poly(), vec)
 
 
-def _bracket_Aq(j: int) -> RationalFn:
+def bracket_Aq(j: int) -> RationalFn:
+    """{Aq^j}, factored: a unit times ("B", j)."""
     return _factored(qbracket_Aq(j), {("B", j): 1})
 
 
-def _bracket_q(j: int) -> RationalFn:
+def bracket_q(j: int) -> RationalFn:
+    """{q^j}, factored: a unit times ("C", d) over the divisors d of j."""
     if j == 0:
         return RationalFn.zero()
     return _factored(qbracket_q(j), {("C", d): 1 for d in range(1, abs(j) + 1)
@@ -605,7 +600,7 @@ def qfact_ratio(nums: Iterable[int], dens: Iterable[int] = ()) -> RationalFn:
 
 def bigD(j: int) -> RationalFn:
     """D_j = {Aq^j} / {q}."""
-    return _bracket_Aq(j) / _bracket_q(1)
+    return bracket_Aq(j) / bracket_q(1)
 
 
 def bigG(n: int) -> RationalFn:
@@ -614,7 +609,7 @@ def bigG(n: int) -> RationalFn:
         raise NegativeInput(f"bigG({n})")
     out = RationalFn.one()
     for j in range(1, n + 1):
-        out = out * _bracket_Aq(j - 2) / _bracket_q(j)
+        out = out * bracket_Aq(j - 2) / bracket_q(j)
     return out
 
 

@@ -7,10 +7,10 @@ Two independent routes to the same value:
   partitions with power sums specialized to p_i* = {A^i}/{q^i};
 * :func:`schur_hook` evaluates the closed hook/content product directly.
 
-The partition weights 1/(i^{x_i} x_i!) force rational coefficients in the
-intermediate h_n, so this module carries a small Fraction-coefficient
-polynomial layer internally.  Final Schur values are returned as ordinary
-:class:`RationalFn` with integer coefficients.
+Both routes compute in :class:`RationalFn`.  The q-brackets {q^i} and {Aq^c}
+enter already factored over its basis, and each partition weight
+1/(i^{x_i} x_i!) goes into its positive integer denominator, so the
+Jacobi-Trudi sums need no rational-coefficient layer of their own.
 
 Convention note: diagrams are given by row lengths, and the content exponent
 of the box in (0-based) row i, column j is j - i.  The opposite sign fails the
@@ -20,18 +20,16 @@ was fixed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import DiagramTooLarge, OutOfRange
 from .laurent import LaurentPoly
-from .qcore import RationalFn, qbracket_Aq, qbracket_q
+from .qcore import RationalFn, bracket_Aq, bracket_q
 
 MAX_ROWS = 8
-
-FracTerms = Dict[Tuple[int, int], Fraction]
+H_CAP = 48  # largest n that h_at_special accepts
 
 
 class YoungDiagram:
@@ -74,112 +72,6 @@ class YoungDiagram:
         return f"YoungDiagram({list(self.rows)!r})"
 
 
-# -- Fraction-coefficient polynomial helpers (internal) --------------------
-
-def _fadd(a: FracTerms, b: FracTerms) -> FracTerms:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _fmul(a: FracTerms, b: FracTerms) -> FracTerms:
-    out: FracTerms = {}
-    for (a1, q1), c1 in a.items():
-        for (a2, q2), c2 in b.items():
-            e = (a1 + a2, q1 + q2)
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _f_from_poly(p: LaurentPoly) -> FracTerms:
-    return {e: Fraction(c) for e, c in p.terms.items()}
-
-
-@lru_cache(maxsize=None)
-def _den_terms(factors: Tuple[Tuple[int, int], ...]) -> FracTerms:
-    """Expanded product of q-brackets given as ((i, multiplicity), ...)."""
-    p = LaurentPoly.one()
-    for i, mult in factors:
-        for _ in range(mult):
-            p = p * qbracket_q(i)
-    return _f_from_poly(p)
-
-
-class _FracRational:
-    """num: Fraction-coefficient Laurent terms; den: multiset of q-brackets.
-
-    The denominator is kept as {i: multiplicity} meaning prod {q^i}^mult and
-    additions go over the factorwise least common multiple, so denominators
-    stay bounded instead of growing multiplicatively with every operation.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: FracTerms, den: Dict[int, int]):
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def zero() -> "_FracRational":
-        return _FracRational({}, {})
-
-    @staticmethod
-    def one() -> "_FracRational":
-        return _FracRational({(0, 0): Fraction(1)}, {})
-
-    def _lift(self, target: Dict[int, int]) -> FracTerms:
-        extra = tuple(sorted((i, m - self.den.get(i, 0))
-                             for i, m in target.items()
-                             if m - self.den.get(i, 0)))
-        if not extra:
-            return self.num
-        return _fmul(self.num, _den_terms(extra))
-
-    def __add__(self, other: "_FracRational") -> "_FracRational":
-        lcm = {i: max(self.den.get(i, 0), other.den.get(i, 0))
-               for i in set(self.den) | set(other.den)}
-        return _FracRational(_fadd(self._lift(lcm), other._lift(lcm)), lcm)
-
-    def __mul__(self, other: "_FracRational") -> "_FracRational":
-        den = dict(self.den)
-        for i, m in other.den.items():
-            den[i] = den.get(i, 0) + m
-        return _FracRational(_fmul(self.num, other.num), den)
-
-    def __neg__(self) -> "_FracRational":
-        return _FracRational({e: -c for e, c in self.num.items()}, self.den)
-
-    def scale(self, w: Fraction) -> "_FracRational":
-        if not w:
-            return _FracRational.zero()
-        return _FracRational({e: c * w for e, c in self.num.items()}, self.den)
-
-    def to_rational(self) -> RationalFn:
-        """Clear coefficient denominators into a scalar and return num/den."""
-        lcm = 1
-        for c in self.num.values():
-            d = c.denominator
-            g = gcd(lcm, d)
-            lcm = lcm // g * d
-        int_num = LaurentPoly({e: int(c * lcm) for e, c in self.num.items()})
-        out = RationalFn.from_poly(int_num)
-        for i, mult in sorted(self.den.items()):
-            for _ in range(mult):
-                out = out.div_poly(qbracket_q(i))
-        if lcm != 1:
-            out = out.div_poly(LaurentPoly.const(lcm))
-        return out
-
-
 def _partitions_with_mults(n: int) -> Iterator[Dict[int, int]]:
     """All {part: multiplicity} maps with sum(part * mult) = n."""
 
@@ -198,35 +90,33 @@ def _partitions_with_mults(n: int) -> Iterator[Dict[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _p_star(i: int) -> _FracRational:
+def _p_star(i: int) -> RationalFn:
     """Power sum at the special point: p_i* = {A^i}/{q^i}."""
     num = LaurentPoly({(i, 0): 1, (-i, 0): -1})
-    return _FracRational(_f_from_poly(num), {i: 1})
+    return RationalFn.from_poly(num) / bracket_q(i)
 
 
 @lru_cache(maxsize=None)
-def _h_special(n: int) -> _FracRational:
+def _h_special(n: int) -> RationalFn:
     """h_n at the special point via the explicit partition expansion."""
     if n < 0:
-        return _FracRational.zero()
-    total = _FracRational.zero()
+        return RationalFn.zero()
+    total = RationalFn.zero()
     for mults in _partitions_with_mults(n):
-        term = _FracRational.one()
-        weight = Fraction(1)
+        term = RationalFn.one()
+        z = 1
         for part, mult in mults.items():
-            weight /= Fraction(part ** mult * factorial(mult))
-            p = _p_star(part)
-            for _ in range(mult):
-                term = term * p
-        total = total + term.scale(weight)
+            z *= part ** mult * factorial(mult)
+            term = term * _p_star(part) ** mult
+        total = total + term.div_poly(LaurentPoly.const(z))
     return total
 
 
-def h_at_special(n: int, cap: int = 48) -> RationalFn:
-    """Complete homogeneous h_n at the special point, 0 <= n <= cap."""
-    if n < 0 or n > cap:
-        raise OutOfRange(f"h_at_special({n}) with cap {cap}")
-    return _h_special(n).to_rational()
+def h_at_special(n: int) -> RationalFn:
+    """Complete homogeneous h_n at the special point, 0 <= n <= H_CAP."""
+    if n < 0 or n > H_CAP:
+        raise OutOfRange(f"h_at_special({n}) with cap {H_CAP}")
+    return _h_special(n)
 
 
 def schur_jacobi_trudi(diagram: YoungDiagram) -> RationalFn:
@@ -234,28 +124,24 @@ def schur_jacobi_trudi(diagram: YoungDiagram) -> RationalFn:
     n = len(diagram.rows)
     if n > MAX_ROWS:
         raise DiagramTooLarge(f"{n} rows exceeds the supported {MAX_ROWS}")
-    if n == 0:
-        return RationalFn.one()
-    entries = [[_h_special(diagram.rows[i] - i + j) for j in range(n)]
-               for i in range(n)]
-    det = _det(entries)
-    return det.to_rational()
+    return _det([[_h_special(diagram.rows[i] - i + j) for j in range(n)]
+                 for i in range(n)])
 
 
-def _det(m: List[List[_FracRational]]) -> _FracRational:
+def _det(m: List[List[RationalFn]]) -> RationalFn:
     n = len(m)
-    memo: Dict[Tuple[int, Tuple[int, ...]], _FracRational] = {}
+    memo: Dict[Tuple[int, Tuple[int, ...]], RationalFn] = {}
 
-    def minor(i: int, cols: Tuple[int, ...]) -> _FracRational:
+    def minor(i: int, cols: Tuple[int, ...]) -> RationalFn:
         if i == n:
-            return _FracRational.one()
+            return RationalFn.one()
         key = (i, cols)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        total = _FracRational.zero()
+        total = RationalFn.zero()
         for pos, j in enumerate(cols):
-            if not m[i][j].num:
+            if m[i][j].is_zero:
                 continue
             cof = m[i][j] * minor(i + 1, cols[:pos] + cols[pos + 1:])
             total = total + (cof if pos % 2 == 0 else -cof)
@@ -267,10 +153,8 @@ def _det(m: List[List[_FracRational]]) -> _FracRational:
 
 def schur_hook(diagram: YoungDiagram) -> RationalFn:
     """s_lambda at the special point via the hook/content product."""
-    num = []
-    den = []
+    out = RationalFn.one()
     for i, j in diagram.boxes():
-        num.append(qbracket_Aq(diagram.content(i, j)))
-        den.append(qbracket_q(diagram.hook(i, j)))
-    from .qcore import rational_from_factors
-    return rational_from_factors(num, den)
+        out = (out * bracket_Aq(diagram.content(i, j))
+               / bracket_q(diagram.hook(i, j)))
+    return out

@@ -151,17 +151,31 @@ class TestConjectureMain:
 
 
 class TestConjectureMono:
+    EVEN_MEMBER = ("member (a,b,c+1) has an even parameter, outside the "
+                   "all-odd (antiparallel) formula")
+
     def test_literal_step_hits_link(self, engine):
         mv = check_conjecture_mono(1, 1, 1, 1, engine)
         assert mv.literal_step.status == INSUFFICIENT
-        assert "NotPolynomial" in mv.literal_step.detail
+        assert mv.literal_step.detail == self.EVEN_MEMBER
 
-    @pytest.mark.parametrize("r,status", [(1, HOLDS), (2, FAILS)])
-    def test_literal_step_computes_for_minus_a_a(self, engine, r, status):
-        # (-3, 3, c+1) has a polynomial invariant: the step is not always
-        # insufficient-data
-        mv = check_conjecture_mono(-3, 3, 1, r, engine)
-        assert mv.literal_step.status == status
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_literal_step_insufficient_for_minus_a_a(self, monkeypatch, r):
+        # the all-odd formula happens to give a polynomial at (-3, 3, c+1),
+        # but that member is outside it all the same: nothing even is assembled
+        eng = HomflyEngine()
+        assembled = []
+        real = eng.homfly_rational
+
+        def spy(spec):
+            assembled.append(spec.params)
+            return real(spec)
+
+        monkeypatch.setattr(eng, "homfly_rational", spy)
+        mv = check_conjecture_mono(-3, 3, 1, r, eng)
+        assert mv.literal_step.status == INSUFFICIENT
+        assert mv.literal_step.detail == self.EVEN_MEMBER
+        assert assembled and all(p % 2 for ps in assembled for p in ps)
 
     def test_one_S_build_per_call(self, monkeypatch):
         from pretzelhomfly import pretzel

@@ -5,8 +5,9 @@ import pytest
 from pretzelhomfly.errors import DiagramTooLarge, OutOfRange
 from pretzelhomfly.laurent import LaurentPoly
 from pretzelhomfly.qcore import RationalFn, qbracket_Aq, qbracket_q
-from pretzelhomfly.symfunc import (YoungDiagram, h_at_special,
-                                   schur_hook, schur_jacobi_trudi)
+from pretzelhomfly.symfunc import (H_CAP, MAX_ROWS, YoungDiagram,
+                                   h_at_special, schur_hook,
+                                   schur_jacobi_trudi)
 
 
 def brackets_ratio(num_exps, den_exps):
@@ -37,7 +38,9 @@ class TestHSpecial:
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            h_at_special(5, cap=3)
+            h_at_special(H_CAP + 1)
+        with pytest.raises(OutOfRange):
+            h_at_special(-1)
 
 
 class TestSchur:
@@ -83,8 +86,16 @@ def partitions(n, max_part=None):
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("boxes", range(1, 6))
+    # every partition of at most 10 boxes with at most MAX_ROWS rows; the
+    # three longer ones are rejected (test_too_many_rows)
+    @pytest.mark.parametrize("boxes", range(1, 11))
     def test_jt_equals_hook(self, boxes):
         for rows in partitions(boxes):
             lam = YoungDiagram(list(rows))
+            if len(rows) > MAX_ROWS:
+                continue
             assert schur_jacobi_trudi(lam) == schur_hook(lam), rows
+
+    def test_jt_equals_hook_six_rows(self):
+        lam = YoungDiagram([8, 6, 4, 2, 1, 1])
+        assert schur_jacobi_trudi(lam) == schur_hook(lam)
