@@ -210,6 +210,8 @@ def _cmd_cache(args) -> int:
 
 def _cmd_schur(args) -> int:
     rows = json.loads(args.diagram)
+    if not isinstance(rows, list):
+        raise ValueError(f"diagram must be a JSON list of rows: {args.diagram}")
     lam = YoungDiagram(rows)
     value = (schur_jacobi_trudi(lam) if args.method == "jt"
              else schur_hook(lam))

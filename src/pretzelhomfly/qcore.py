@@ -9,13 +9,15 @@ exponents ``e``:
     ("C", d)   Phi_d(q^2)        q^2n - 1 = prod over d | n of Phi_d(q^2)
 
 so every quantum bracket, quantum integer and factorial is a unit times an
-exponent vector.  Products, quotients and inverses of such values add
-vectors and cancel for free.  A sum keeps the factors its two terms share
-(the componentwise min of the vectors, which is the max of the
-denominators) and expands only the factors each side lacks; cancellation
-then divides the new cofactor only by the basis factors of the denominator,
-each behind an exact divisibility test (a chain sum for ("B", k), a residue
-mod q^2d - 1 for ("C", d)), so no division by a basis factor fails.
+exponent vector; the brackets, D_j, G(n) and [a]!/[b]! below are built as
+one directly, with no polynomial arithmetic.  Products, quotients and
+inverses of such values add vectors and cancel for free.  A sum keeps the
+factors its two terms share (the componentwise min of the vectors, which is
+the max of the denominators) and expands only the factors each side lacks;
+cancellation then divides the new cofactor only by the basis factors of the
+denominator, each behind an exact divisibility test (a chain sum for
+("B", k), a residue mod q^2d - 1 for ("C", d)), so no division by a basis
+factor fails.
 
 Premise, measured over the inputs of the four benchmark workloads,
 ``verify conj-935 --depth 5``, ``verify conj-946 --depth 5`` and
@@ -53,19 +55,14 @@ Vec = Dict[BasisKey, int]
 Opaque = Dict[tuple, Tuple[LaurentPoly, int]]
 
 
-def qbracket(m: Monomial) -> LaurentPoly:
-    """{x} = x - 1/x for a monomial x = ±A^a q^b."""
-    return m.as_poly() - m.inverse().as_poly()
-
-
 def qbracket_q(j: int) -> LaurentPoly:
-    """{q^j}."""
-    return qbracket(Monomial(1, 0, j))
+    """{q^j} = q^j - q^-j, expanded."""
+    return LaurentPoly.var_q(j) - LaurentPoly.var_q(-j)
 
 
 def qbracket_Aq(j: int) -> LaurentPoly:
-    """{Aq^j}."""
-    return qbracket(Monomial(1, 1, j))
+    """{Aq^j} = A q^j - A^-1 q^-j, expanded."""
+    return LaurentPoly.term(1, 1, j) - LaurentPoly.term(1, -1, -j)
 
 
 def qint(n: int) -> LaurentPoly:
@@ -563,22 +560,17 @@ def _substitution_kernel(var: str, value: Monomial) -> LaurentPoly:
 
 # -- the paper-facing quantum-number functions -----------------------------
 
-def _factored(poly: LaurentPoly, vec: Vec) -> RationalFn:
-    """poly, whose unit-stripped form is the basis product vec."""
-    return RationalFn(poly.strip_monomial()[0].as_poly(), vec)
-
-
 def bracket_Aq(j: int) -> RationalFn:
-    """{Aq^j}, factored: a unit times ("B", j)."""
-    return _factored(qbracket_Aq(j), {("B", j): 1})
+    """{Aq^j} = A^-1 q^-|j| ("B", j)."""
+    return RationalFn(LaurentPoly.term(1, -1, -abs(j)), {("B", j): 1})
 
 
 def bracket_q(j: int) -> RationalFn:
-    """{q^j}, factored: a unit times ("C", d) over the divisors d of j."""
+    """{q^j} = sign(j) q^-|j| prod over d | j of ("C", d); {q^0} = 0."""
     if j == 0:
         return RationalFn.zero()
-    return _factored(qbracket_q(j), {("C", d): 1 for d in range(1, abs(j) + 1)
-                                     if j % d == 0})
+    return RationalFn(LaurentPoly.term(1 if j > 0 else -1, 0, -abs(j)),
+                      {("C", d): 1 for d in range(1, abs(j) + 1) if j % d == 0})
 
 
 def qfact_ratio(nums: Iterable[int], dens: Iterable[int] = ()) -> RationalFn:
@@ -599,18 +591,21 @@ def qfact_ratio(nums: Iterable[int], dens: Iterable[int] = ()) -> RationalFn:
 
 
 def bigD(j: int) -> RationalFn:
-    """D_j = {Aq^j} / {q}."""
-    return bracket_Aq(j) / bracket_q(1)
+    """D_j = {Aq^j} / {q} = A^-1 q^(1-|j|) ("B", j) / ("C", 1)."""
+    return RationalFn(LaurentPoly.term(1, -1, 1 - abs(j)),
+                      {("B", j): 1, ("C", 1): -1})
 
 
 def bigG(n: int) -> RationalFn:
-    """G(n) = prod_{j=1..n} {Aq^(j-2)} / {q^j}; G(0) = 1."""
+    """G(n) = prod_{j=1..n} {Aq^(j-2)} / {q^j}; G(0) = 1.  For n >= 1 that is
+    A^-n q^2(n-1) prod_{k=-1..n-2} ("B", k) / prod_{d<=n} ("C", d)^floor(n/d)."""
     if n < 0:
         raise NegativeInput(f"bigG({n})")
-    out = RationalFn.one()
-    for j in range(1, n + 1):
-        out = out * bracket_Aq(j - 2) / bracket_q(j)
-    return out
+    if n == 0:
+        return RationalFn.one()
+    vec: Vec = {("B", k): 1 for k in range(-1, n - 1)}
+    vec.update({("C", d): -(n // d) for d in range(1, n + 1)})
+    return RationalFn(LaurentPoly.term(1, -n, 2 * (n - 1)), vec)
 
 
 def delta(m: int) -> RationalFn:

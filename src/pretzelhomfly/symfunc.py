@@ -29,7 +29,9 @@ from .laurent import LaurentPoly
 from .qcore import RationalFn, bracket_Aq, bracket_q
 
 MAX_ROWS = 8
-H_CAP = 48  # largest n that h_at_special accepts
+# largest n that h_at_special and schur_jacobi_trudi accept: _h_special(n)
+# sums over all partitions of n, and n = 15 takes about 2 s (16 takes 2.7 s)
+H_CAP = 15
 
 
 class YoungDiagram:
@@ -38,7 +40,9 @@ class YoungDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[int]):
-        rows = [int(r) for r in rows if r != 0]
+        if any(type(r) is not int for r in rows):
+            raise ValueError("row lengths must be integers")
+        rows = [r for r in rows if r != 0]
         if any(r < 0 for r in rows):
             raise ValueError("row lengths must be positive")
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
@@ -124,6 +128,10 @@ def schur_jacobi_trudi(diagram: YoungDiagram) -> RationalFn:
     n = len(diagram.rows)
     if n > MAX_ROWS:
         raise DiagramTooLarge(f"{n} rows exceeds the supported {MAX_ROWS}")
+    # the largest entry index, h_(rows[0] + n - 1), sits in the top right
+    if n and diagram.rows[0] + n - 1 > H_CAP:
+        raise DiagramTooLarge(
+            f"needs h_{diagram.rows[0] + n - 1}, beyond the supported {H_CAP}")
     return _det([[_h_special(diagram.rows[i] - i + j) for j in range(n)]
                  for i in range(n)])
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output determinism, verbs."""
 
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,31 @@ class TestSchur:
     def test_bad_diagram_is_usage(self, capsys):
         code, _, err = run(capsys, "schur", "--diagram", "not json")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("diagram", ["5", "null", '{"a": 1}'])
+    def test_non_list_diagram_is_usage(self, capsys, diagram):
+        code, out, err = run(capsys, "schur", "--diagram", diagram)
+        assert code == EXIT_USAGE and not out
+        assert "JSON list" in err
+
+    @pytest.mark.parametrize("diagram", ["[1.5]", "[2, 1.0]", "[true]",
+                                         '["2"]'])
+    def test_non_integer_row_is_usage(self, capsys, diagram):
+        # YoungDiagram rejects the row before either method runs
+        code, out, err = run(capsys, "schur", "--diagram", diagram)
+        assert code == EXIT_USAGE and not out
+        assert "integers" in err
+
+    def test_long_row_rejected_on_jt_only(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "schur", "--diagram", "[60]",
+                             "--method", "jt")
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_ERROR and not out
+        assert "DiagramTooLarge" in err
+        code, out, _ = run(capsys, "schur", "--diagram", "[60]",
+                           "--method", "hook")
+        assert code == EXIT_OK and out
 
 
 class TestErrorPaths:

@@ -7,9 +7,10 @@ from pretzelhomfly.errors import (DivisionByZero, NegativeInput, NotPolynomial,
                                   OutOfRange)
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.qcore import (RationalFn, _basis_poly, _basis_quotient,
-                                 _divides, bigD, bigG, chi_rows, chi_two_row,
-                                 delta, qbinom, qbracket_Aq, qbracket_q, qfact,
-                                 qfact_ratio, qint)
+                                 _divides, bigD, bigG, bracket_Aq, bracket_q,
+                                 chi_rows, chi_two_row, delta, qbinom,
+                                 qbracket_Aq, qbracket_q, qfact, qfact_ratio,
+                                 qint)
 
 one = LaurentPoly.one()
 
@@ -79,6 +80,31 @@ class TestBigDG:
         assert not bigG(2).substitute("A", at_inv).is_zero
         for i in range(3, 6):
             assert bigG(i).substitute("A", at_inv).is_zero
+
+    @staticmethod
+    def assert_unit_times_vector(f):
+        assert f.cof.as_monomial() is not None
+        assert f.den == 1 and not f.opq
+
+    def test_G_matches_expanded_product(self):
+        for n in range(13):
+            num = one
+            for j in range(1, n + 1):
+                num = num * qbracket_Aq(j - 2)
+            expect = RationalFn.from_ratio(
+                num, *[qbracket_q(j) for j in range(1, n + 1)])
+            assert bigG(n) == expect, n
+            self.assert_unit_times_vector(bigG(n))
+
+    def test_brackets_and_D_match_expanded(self):
+        for j in range(-12, 13):
+            assert bracket_Aq(j) == RationalFn.from_poly(qbracket_Aq(j)), j
+            assert bracket_q(j) == RationalFn.from_poly(qbracket_q(j)), j
+            assert bigD(j) == RationalFn.from_ratio(
+                qbracket_Aq(j), qbracket_q(1)), j
+            for f in (bracket_Aq(j), bigD(j)) + ((bracket_q(j),) if j else ()):
+                self.assert_unit_times_vector(f)
+        assert bracket_q(0).is_zero
 
     def test_delta_zero_is_one(self):
         assert delta(0) == RationalFn.one()

@@ -73,6 +73,13 @@ class TestSchur:
         with pytest.raises(DiagramTooLarge):
             schur_jacobi_trudi(YoungDiagram([1] * 9))
 
+    def test_entry_index_beyond_cap(self):
+        # the top-right entry is h_(rows[0] + len(rows) - 1)
+        with pytest.raises(DiagramTooLarge):
+            schur_jacobi_trudi(YoungDiagram([H_CAP - 1, 1, 1]))
+        with pytest.raises(DiagramTooLarge):
+            schur_jacobi_trudi(YoungDiagram([H_CAP + 1]))
+
 
 def partitions(n, max_part=None):
     if n == 0:
