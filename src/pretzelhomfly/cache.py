@@ -22,6 +22,7 @@ from .errors import CorruptStore, StoreUnwritable
 from .laurent import LaurentPoly
 
 CACHE_ENV_VAR = "PRETZELHOMFLY_CACHE_DIR"
+ENTRY_FIELDS = frozenset({"version", "poly", "checksum"})
 
 
 def cache_key(params: Sequence[int], r: int,
@@ -61,11 +62,14 @@ class HomflyCache:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptStore(f"unreadable cache entry {path}: {exc}") from exc
-        if obj.get("version") != key[2]:
+        if not (isinstance(obj, dict) and ENTRY_FIELDS <= obj.keys()):
+            raise CorruptStore(f"malformed cache entry {path}: not an object "
+                               f"with fields {sorted(ENTRY_FIELDS)}")
+        if obj["version"] != key[2]:
             return None
         body = json.dumps(obj["poly"], sort_keys=True)
         digest = hashlib.sha256(body.encode()).hexdigest()
-        if obj.get("checksum") != digest:
+        if obj["checksum"] != digest:
             raise CorruptStore(f"checksum mismatch in {path}")
         return CacheEntry(key=key, poly=LaurentPoly.from_json(obj["poly"]))
 
@@ -95,6 +99,8 @@ class HomflyCache:
                 with open(path, encoding="utf-8") as fh:
                     obj = json.load(fh)
             except (OSError, json.JSONDecodeError):
+                continue
+            if not isinstance(obj, dict):
                 continue
             yield {"file": str(path), "key": obj.get("key"),
                    "version": obj.get("version"),

@@ -37,10 +37,6 @@ class IndexOutOfRange(EngineError):
     pass
 
 
-class RadicalResidue(EngineError):
-    """A formal square root survived where the construction requires it to cancel."""
-
-
 class NotPolynomial(EngineError):
     """A rational function expected to clear its denominator did not."""
 

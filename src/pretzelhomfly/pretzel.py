@@ -1,9 +1,10 @@
 """Normalized colored HOMFLY polynomials of pretzel knots.
 
-The genus-g invariant is assembled from the first rows of S-bar T-bar^n S
-(one twist factor per parameter), weighted by 1/S_{0,x}^(g-1) and the
-single-row chi.  Every formal square root introduced by the Racah matrices
-cancels pairwise in this sum; the engine asserts that instead of assuming it.
+The genus-g invariant is chi_[r] sum_x prod_i row_i[x] / S_0x^(g-1), with one
+row 0 of S-bar T-bar^n S per parameter n.  Each row entry is
+rho_x sqrt(chi_x) and S_0x = s_0x sqrt(chi_x) (see racah), so the g+1 row
+roots over the g-1 roots of S_0x^(g-1) leave chi_x, and the summand is the
+rational prod_i rho_{i,x} chi_x / s_0x^(g-1) at every genus.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from .cache import HomflyCache, cache_key
 from .errors import (CorruptStore, EngineError, NoCanonicalUnit, RepCapExceeded,
                      ZeroPolynomial)
 from .laurent import LaurentPoly, Monomial
-from .qcore import RationalFn, chi_rows
-from .racah import (RadicalContext, RadicalValue, build_S, build_Sbar,
-                    build_Tbar, twist_row)
+from .qcore import RationalFn, chi_rows, chi_two_row
+from .racah import build_S, build_Sbar, build_Tbar, twist_row
 from .symfunc import YoungDiagram, schur_hook
 
 REP_CAP = 5  # largest r the engine computes
@@ -97,34 +97,41 @@ def canonicalize_framing(p: LaurentPoly) -> Tuple[Monomial, LaurentPoly]:
 class HomflyEngine:
     """Computes pretzel HOMFLY polynomials with matrix/row/result memoization.
 
-    Racah matrices, twist rows and results are plain dict memos, each built
-    once per key.  Single-threaded: not safe for concurrent use.
+    Racah matrices, twist rows, genus-g weights and results are plain dict
+    memos, each built once per key.  Single-threaded: not safe for
+    concurrent use.
     """
 
     def __init__(self, cache: Optional[HomflyCache] = None):
         self.cache = cache
-        self._ctx: Dict[int, RadicalContext] = {}
         self._S: Dict[int, list] = {}
         self._Sbar: Dict[int, list] = {}
-        self._rows: Dict[Tuple[int, int], List[RadicalValue]] = {}
+        self._rows: Dict[Tuple[int, int], List[RationalFn]] = {}
+        self._weights: Dict[Tuple[int, int], List[RationalFn]] = {}
         self._chi: Dict[int, RationalFn] = {}
         self._memo: Dict[tuple, HomflyResult] = {}
 
     # -- shared building blocks -------------------------------------------
 
     def matrices(self, r: int):
+        """The rational parts (s, s-bar) of S and S-bar."""
         if r not in self._S:
-            ctx = RadicalContext(r)
-            self._ctx[r] = ctx
-            self._S[r] = build_S(r, ctx)
-            self._Sbar[r] = build_Sbar(r, ctx)
-        return self._ctx[r], self._S[r], self._Sbar[r]
+            self._S[r] = build_S(r)
+            self._Sbar[r] = build_Sbar(r)
+        return self._S[r], self._Sbar[r]
 
-    def twist_row(self, r: int, n: int) -> List[RadicalValue]:
+    def twist_row(self, r: int, n: int) -> List[RationalFn]:
         if (r, n) not in self._rows:
-            ctx, S, Sbar = self.matrices(r)
-            self._rows[(r, n)] = twist_row(r, n, S, Sbar, ctx)
+            self._rows[(r, n)] = twist_row(r, n, *self.matrices(r))
         return self._rows[(r, n)]
+
+    def _sum_weights(self, r: int, g: int) -> List[RationalFn]:
+        """chi_x / s_0x^(g-1), the rational weight of x in the genus-g sum."""
+        if (r, g) not in self._weights:
+            s = self.matrices(r)[0]
+            self._weights[(r, g)] = [chi_two_row(r, x) / s[0][x] ** (g - 1)
+                                     for x in range(r + 1)]
+        return self._weights[(r, g)]
 
     def chi_single_row(self, r: int) -> RationalFn:
         """chi_{[r,0]}, cross-checked against the hook-product Schur value."""
@@ -226,16 +233,13 @@ class HomflyEngine:
         """
         r = spec.rep
         _check_rep(r)
-        g = spec.genus
         rows = [self.twist_row(r, n) for n in spec.params]
-        _, S, _ = self.matrices(r)
         total = RationalFn.zero()
-        for x in range(r + 1):
+        for x, weight in enumerate(self._sum_weights(r, spec.genus)):
             term = rows[0][x]
             for row in rows[1:]:
                 term = term * row[x]
-            term = term * S[0][x].inverse() ** (g - 1)
-            total = total + term.to_rational()
+            total = total + term * weight
         return self.chi_single_row(r) * total
 
     def _compute(self, spec: PretzelSpec) -> Tuple[LaurentPoly, Monomial]:

@@ -19,9 +19,8 @@ from pretzelhomfly.differences import (check_conjecture_main, check_theorem_1,
                                        q_diff)
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.pretzel import HomflyEngine, PretzelSpec, permutation_check
-from pretzelhomfly.qcore import RationalFn
-from pretzelhomfly.racah import (RadicalContext, build_S, build_Sbar,
-                                 first_row_squares_at)
+from pretzelhomfly.qcore import RationalFn, chi_two_row, delta
+from pretzelhomfly.racah import build_S, build_Sbar, first_row_squares_at
 from pretzelhomfly.report import FAILS, HOLDS
 from pretzelhomfly.symfunc import (YoungDiagram, schur_hook,
                                    schur_jacobi_trudi)
@@ -169,13 +168,17 @@ def test_criterion_7_structural_suites(engine, family_946):
     ok = True
     notes = []
 
-    # (a) first-row unitarity of both Racah matrices, r <= 3
+    # (a) first-row unitarity of both Racah matrices, r <= 3: S_0x^2 is
+    # s_0x^2 chi_x and S-bar_0x^2 is s-bar_0x^2 Delta_x (racah docstring)
+    radicands = {r: ([delta(k) for k in range(r + 1)],
+                     [chi_two_row(r, m) for m in range(r + 1)])
+                 for r in (1, 2, 3)}
     for r in (1, 2, 3):
-        ctx = RadicalContext(r)
-        for mat in (build_S(r, ctx), build_Sbar(r, ctx)):
+        D, chi = radicands[r]
+        for mat, rad in ((build_S(r), chi), (build_Sbar(r), D)):
             total = RationalFn.zero()
             for x in range(r + 1):
-                total = total + mat[0][x].squared()
+                total = total + mat[0][x] ** 2 * rad[x]
             ok = ok and total == RationalFn.one()
     notes.append("unitarity r<=3")
 
@@ -185,18 +188,18 @@ def test_criterion_7_structural_suites(engine, family_946):
     specials = [Monomial(1, 0, 1), Monomial(-1, 0, 1)]
     inverses = [Monomial(1, 0, -1), Monomial(-1, 0, -1)]
     for r in (1, 2, 3):
-        ctx = RadicalContext(r)
-        S, Sbar = build_S(r, ctx), build_Sbar(r, ctx)
+        D, chi = radicands[r]
+        S, Sbar = build_S(r), build_Sbar(r)
         for mono in specials:
-            s_sq = first_row_squares_at(S, mono)
-            sb_sq = first_row_squares_at(Sbar, mono)
+            s_sq = first_row_squares_at(S, chi, mono)
+            sb_sq = first_row_squares_at(Sbar, D, mono)
             for m in range(r + 1):
                 ok = ok and s_sq[m] == (RationalFn.one() if m == r
                                         else RationalFn.zero())
                 ok = ok and sb_sq[m] == (RationalFn.one() if m == 0
                                          else RationalFn.zero())
         for mono in inverses:
-            s_sq = first_row_squares_at(S, mono)
+            s_sq = first_row_squares_at(S, chi, mono)
             if r == 1:
                 ok = ok and s_sq == [RationalFn.one(), RationalFn.zero()]
             else:

@@ -163,6 +163,24 @@ class TestCacheVerb:
         assert code == EXIT_OK
         assert json.loads(out)["cleared"] == 1
 
+    @pytest.mark.parametrize("body", ['{"version": "x", "checksum": "0"}',
+                                      '[1, 2]'], ids=["missing-poly", "list"])
+    def test_malformed_entry_exits_3(self, capsys, tmp_path, body):
+        d = str(tmp_path)
+        argv = ("homfly", "--params", "1,1,1", "--rep", "1", "--cache-dir", d)
+        run(capsys, *argv)
+        (path,) = tmp_path.glob("*/*.json")
+        path.write_text(body)
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert json.loads(err)["error"] == "CorruptStore"
+        # listing skips an entry that is not an object, as it skips
+        # unreadable files
+        code, out, _ = run(capsys, "cache", "ls", "--cache-dir", d,
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["entries"]) == (body != "[1, 2]")
+
     def test_no_dir_is_usage_error(self, capsys, monkeypatch):
         from pretzelhomfly.cache import CACHE_ENV_VAR
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)

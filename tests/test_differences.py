@@ -182,9 +182,9 @@ class TestConjectureMono:
         built = []
         real = pretzel.build_S
 
-        def counting(r, ctx):
+        def counting(r):
             built.append(r)
-            return real(r, ctx)
+            return real(r)
 
         monkeypatch.setattr(pretzel, "build_S", counting)
         check_conjecture_mono(1, 1, 1, 2, HomflyEngine())

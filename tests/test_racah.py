@@ -1,62 +1,73 @@
-"""Racah matrices: printed r=1 entries, unitarity, radical shapes and the
-behaviour of the first rows at the four special substitutions."""
+"""Racah matrices: printed r=1 entries, orthonormality, unitarity and the
+behaviour of the first rows at the four special substitutions.
+
+The matrices are built as rational parts: S_km = s_km sqrt(Delta_k chi_m)
+and S-bar_km = s-bar_km sqrt(Delta_k Delta_m), so a square of an entry is
+the rational part squared times its radicands, and Delta_0 = 1."""
 
 import pytest
 
-from pretzelhomfly.errors import IndexOutOfRange, RadicalResidue
+from pretzelhomfly.errors import IndexOutOfRange
 from pretzelhomfly.laurent import LaurentPoly, Monomial
-from pretzelhomfly.qcore import RationalFn
-from pretzelhomfly.racah import (RadicalContext, RadicalValue, build_S,
-                                 build_Sbar, build_Tbar, first_row_squares_at,
-                                 sigma, twist_row)
+from pretzelhomfly.qcore import RationalFn, chi_two_row, delta
+from pretzelhomfly.racah import (build_S, build_Sbar, build_Tbar,
+                                 first_row_squares_at, sigma, twist_row)
 
 A = LaurentPoly.var_A()
 q = LaurentPoly.var_q()
 one = LaurentPoly.one()
+ONE, ZERO = RationalFn.one(), RationalFn.zero()
 
 SPECIAL = [("A=q", Monomial(1, 0, 1)), ("A=-q", Monomial(-1, 0, 1)),
            ("A=1/q", Monomial(1, 0, -1)), ("A=-1/q", Monomial(-1, 0, -1))]
 
 
+def radicands(r):
+    """(Delta_0..Delta_r, chi_0..chi_r)."""
+    return ([delta(k) for k in range(r + 1)],
+            [chi_two_row(r, m) for m in range(r + 1)])
+
+
+def total(values):
+    return sum(values, ZERO)
+
+
 @pytest.fixture(scope="module")
 def matrices():
-    out = {}
-    for r in (1, 2, 3):
-        ctx = RadicalContext(r)
-        out[r] = (ctx, build_S(r, ctx), build_Sbar(r, ctx))
-    return out
+    return {r: (build_S(r), build_Sbar(r)) + radicands(r) for r in (1, 2, 3)}
 
 
 class TestPrintedR1Entries:
     def test_S_squares(self, matrices):
-        _, S, _ = matrices[1]
+        S, _, _, chi = matrices[1]
         den = (A * A - one) * (q * q + one)
-        assert S[0][0].squared() == RationalFn.from_ratio((A - q) * (A + q), den)
-        assert S[0][1].squared() == RationalFn.from_ratio(
+        assert S[0][0] ** 2 * chi[0] == RationalFn.from_ratio(
+            (A - q) * (A + q), den)
+        assert S[0][1] ** 2 * chi[1] == RationalFn.from_ratio(
             (A * q - one) * (A * q + one), den)
 
     def test_S_symmetry(self, matrices):
-        _, S, _ = matrices[1]
-        assert S[0][0].squared() == S[1][1].squared()
-        assert S[0][1].squared() == S[1][0].squared()
+        S, _, D, chi = matrices[1]
+        assert S[0][0] ** 2 * chi[0] == S[1][1] ** 2 * D[1] * chi[1]
+        assert S[0][1] ** 2 * chi[1] == S[1][0] ** 2 * D[1] * chi[0]
 
     def test_Sbar_diagonal_rational(self, matrices):
-        _, _, Sbar = matrices[1]
+        _, Sbar, D, _ = matrices[1]
         expect = RationalFn.from_ratio(
             A * (q * q - one), (A * A - one) * q)
-        assert Sbar[0][0].to_rational() == expect
+        # diagonal entries carry sqrt(Delta_k)^2 = Delta_k: they are rational
+        assert Sbar[0][0] == expect
         # the (1,1) entry agrees up to sign; signs are recorded, not assumed
-        assert Sbar[1][1].to_rational() == -expect
-        assert Sbar[1][1].squared() == Sbar[0][0].squared()
+        assert Sbar[1][1] * D[1] == -expect
+        assert (Sbar[1][1] * D[1]) ** 2 == Sbar[0][0] ** 2
 
     def test_Sbar_off_diagonal_square(self, matrices):
-        _, _, Sbar = matrices[1]
-        diag_sq = Sbar[0][0].squared()
+        _, Sbar, D, _ = matrices[1]
+        diag_sq = Sbar[0][0] ** 2
         radical = RationalFn.from_ratio(
             (A - q) * (A + q) * (A * q - one) * (A * q + one),
             A * A * (q * q - one) * (q * q - one))
-        assert Sbar[0][1].squared() == diag_sq * radical
-
+        assert Sbar[0][1] ** 2 * D[1] == diag_sq * radical
 
 class TestTbar:
     def test_r1(self):
@@ -77,39 +88,29 @@ class TestTbar:
 class TestUnitarity:
     @pytest.mark.parametrize("r", (1, 2, 3))
     def test_first_row_S(self, matrices, r):
-        _, S, _ = matrices[r]
-        total = RationalFn.zero()
-        for x in range(r + 1):
-            total = total + S[0][x].squared()
-        assert total == RationalFn.one()
+        S, _, _, chi = matrices[r]
+        assert total(S[0][x] ** 2 * chi[x] for x in range(r + 1)) == ONE
 
     @pytest.mark.parametrize("r", (1, 2, 3))
     def test_first_row_Sbar(self, matrices, r):
-        _, _, Sbar = matrices[r]
-        total = RationalFn.zero()
-        for x in range(r + 1):
-            total = total + Sbar[0][x].squared()
-        assert total == RationalFn.one()
+        _, Sbar, D, _ = matrices[r]
+        assert total(Sbar[0][x] ** 2 * D[x] for x in range(r + 1)) == ONE
 
 
 class TestRadicalShapes:
     @pytest.mark.parametrize("r", (1, 2, 3, 4, 5))
-    def test_build_asserts_rad_shape(self, r):
-        # build_S / build_Sbar / twist_row raise RadicalResidue on any
-        # entry whose radical falls outside the declared basis
-        ctx = RadicalContext(r)
-        S = build_S(r, ctx)
-        Sbar = build_Sbar(r, ctx)
-        row = twist_row(r, 1, S, Sbar, ctx)
-        for x, entry in enumerate(row):
-            assert entry.rad <= {("chi", x)}
-
-    def test_radical_addition_mismatch(self):
-        ctx = RadicalContext(2)
-        a = RadicalValue(ctx, RationalFn.one(), frozenset({("chi", 1)}))
-        b = RadicalValue(ctx, RationalFn.one(), frozenset({("chi", 2)}))
-        with pytest.raises(RadicalResidue):
-            a + b
+    def test_rows_orthonormal(self, r):
+        # sum_x S_kx S_mx = delta_km over the rational parts, which also
+        # checks the radicands the racah docstring assigns to each entry
+        S, Sbar = build_S(r), build_Sbar(r)
+        D, chi = radicands(r)
+        for k in range(r + 1):
+            for m in range(r + 1):
+                expect = ONE if k == m else ZERO
+                assert D[k] * total(S[k][x] * S[m][x] * chi[x]
+                                    for x in range(r + 1)) == expect
+                assert D[k] * total(Sbar[k][x] * Sbar[m][x] * D[x]
+                                    for x in range(r + 1)) == expect
 
     def test_sigma_index_errors(self):
         with pytest.raises(IndexOutOfRange):
@@ -128,24 +129,23 @@ class TestSpecializations:
     @pytest.mark.parametrize("r", (1, 2, 3))
     @pytest.mark.parametrize("label,mono", SPECIAL[:2])
     def test_indicators_at_A_eq_pm_q(self, matrices, r, label, mono):
-        _, S, Sbar = matrices[r]
-        s_sq = first_row_squares_at(S, mono)
-        sb_sq = first_row_squares_at(Sbar, mono)
+        S, Sbar, D, chi = matrices[r]
+        s_sq = first_row_squares_at(S, chi, mono)
+        sb_sq = first_row_squares_at(Sbar, D, mono)
         for m in range(r + 1):
-            assert s_sq[m] == (RationalFn.one() if m == r else RationalFn.zero())
-            assert sb_sq[m] == (RationalFn.one() if m == 0 else RationalFn.zero())
+            assert s_sq[m] == (ONE if m == r else ZERO)
+            assert sb_sq[m] == (ONE if m == 0 else ZERO)
 
     @pytest.mark.parametrize("label,mono", SPECIAL[2:])
     def test_r1_flipped_indicator_at_A_eq_pm_inv_q(self, matrices, label, mono):
-        _, S, Sbar = matrices[1]
-        s_sq = first_row_squares_at(S, mono)
-        assert s_sq == [RationalFn.one(), RationalFn.zero()]
-        sb_sq = first_row_squares_at(Sbar, mono)
-        assert sb_sq == [RationalFn.one(), RationalFn.zero()]
+        S, Sbar, D, chi = matrices[1]
+        s_sq = first_row_squares_at(S, chi, mono)
+        assert s_sq == [ONE, ZERO]
+        sb_sq = first_row_squares_at(Sbar, D, mono)
+        assert sb_sq == [ONE, ZERO]
 
     def test_Sbar00_observed_signs(self, matrices):
-        _, _, Sbar = matrices[1]
-        entry = Sbar[0][0].to_rational()
+        entry = matrices[1][1][0][0]
         observed = [entry.substitute("A", mono).to_poly()
                     for _, mono in SPECIAL]
         assert observed == [one, -one, -one, one]
@@ -153,9 +153,9 @@ class TestSpecializations:
     @pytest.mark.parametrize("r", (2, 3))
     @pytest.mark.parametrize("label,mono", SPECIAL[2:])
     def test_poles_at_A_eq_pm_inv_q(self, matrices, r, label, mono):
-        _, S, Sbar = matrices[r]
-        s_sq = first_row_squares_at(S, mono)
-        sb_sq = first_row_squares_at(Sbar, mono)
+        S, Sbar, D, chi = matrices[r]
+        s_sq = first_row_squares_at(S, chi, mono)
+        sb_sq = first_row_squares_at(Sbar, D, mono)
         if r == 2:
             assert all(v is None for v in s_sq)
             assert all(v is None for v in sb_sq)
@@ -169,17 +169,19 @@ class TestSpecializations:
 
 class TestTwistRow:
     def test_r1_entry_rad_shape(self, matrices):
-        ctx, S, Sbar = matrices[1]
-        row = twist_row(1, 1, S, Sbar, ctx)
-        # entry x carries exactly sqrt(chi_x); chi_0 = chi_{[1,1]} here
-        assert row[0].rad <= {("chi", 0)}
-        assert row[1].rad <= {("chi", 1)}
+        # entry x is rho_x sqrt(chi_x) (chi_0 = chi_{[1,1]} here), so with S
+        # orthogonal, sum_x row_x^2 = (S-bar T-bar^2n S-bar^T)_00 reads
+        # sum_x rho_x^2 chi_x = sum_k s-bar_0k^2 Delta_k T-bar^2n_k
+        S, Sbar, D, chi = matrices[1]
+        for n in (-1, 1, 3):
+            row = twist_row(1, n, S, Sbar)
+            t2n = build_Tbar(1, 2 * n)
+            assert total(row[x] ** 2 * chi[x] for x in range(2)) == total(
+                (Sbar[0][k] ** 2 * D[k]).mul_poly(t2n[k].as_poly())
+                for k in range(2))
 
     def test_n_zero_is_Sbar_S_row(self, matrices):
-        ctx, S, Sbar = matrices[2]
-        row = twist_row(2, 0, S, Sbar, ctx)
+        S, Sbar, _, chi = matrices[2]
+        row = twist_row(2, 0, S, Sbar)
         # Sbar . S is an involution-like product; its row 0 squared sums to 1
-        total = RationalFn.zero()
-        for entry in row:
-            total = total + entry.squared()
-        assert total == RationalFn.one()
+        assert total(row[x] ** 2 * chi[x] for x in range(3)) == ONE
