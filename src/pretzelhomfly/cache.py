@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, Tuple
 
 from . import ENGINE_VERSION
-from .errors import CorruptStore, StoreUnwritable
+from .errors import CorruptStore, ParseError, StoreUnwritable
 from .laurent import LaurentPoly
 
 CACHE_ENV_VAR = "PRETZELHOMFLY_CACHE_DIR"
@@ -47,19 +47,23 @@ class HomflyCache:
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._dir = str(self.directory)
 
-    def _path(self, key: tuple) -> Path:
+    def _file(self, key: tuple) -> str:
         blob = json.dumps([list(key[0]), key[1], key[2]])
         digest = hashlib.sha256(blob.encode()).hexdigest()
-        return self.directory / digest[:2] / f"{digest}.json"
+        return os.path.join(self._dir, digest[:2], f"{digest}.json")
+
+    def _path(self, key: tuple) -> Path:
+        return Path(self._file(key))
 
     def get(self, key: tuple) -> Optional[CacheEntry]:
-        path = self._path(key)
-        if not path.exists():
-            return None
+        path = self._file(key)
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
+        except FileNotFoundError:
+            return None
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptStore(f"unreadable cache entry {path}: {exc}") from exc
         if not (isinstance(obj, dict) and ENTRY_FIELDS <= obj.keys()):
@@ -71,7 +75,16 @@ class HomflyCache:
         digest = hashlib.sha256(body.encode()).hexdigest()
         if obj["checksum"] != digest:
             raise CorruptStore(f"checksum mismatch in {path}")
-        return CacheEntry(key=key, poly=LaurentPoly.from_json(obj["poly"]))
+        try:
+            poly = LaurentPoly.from_json(obj["poly"])
+        except ParseError as exc:
+            raise CorruptStore(f"malformed polynomial in {path}: {exc}") from exc
+        # put writes each term once with a nonzero coefficient; a zero or a
+        # repeated exponent pair would otherwise read back as another value
+        terms = obj["poly"]["terms"]
+        if not isinstance(terms, list) or len(terms) != len(poly.terms):
+            raise CorruptStore(f"zero or repeated terms in {path}")
+        return CacheEntry(key=key, poly=poly)
 
     def put(self, key: tuple, poly: LaurentPoly):
         path = self._path(key)

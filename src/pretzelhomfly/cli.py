@@ -147,9 +147,14 @@ def _cmd_verify(args) -> int:
 
     if args.property == "theorem1":
         if args.depth:
+            # (a, b, c) and (b, a, c) are one knot with one memo and store
+            # key, so their Q^1 is one polynomial: swapped cases share a check
+            verdicts = {}
             for a, b, m, r in _theorem1_cases(args.depth):
-                record(f"theorem1(a={a},b={b},m={m},r={r})",
-                       check_theorem_1(a, b, m, r, eng))
+                key = (min(a, b), max(a, b), m, r)
+                if key not in verdicts:
+                    verdicts[key] = check_theorem_1(a, b, m, r, eng)
+                record(f"theorem1(a={a},b={b},m={m},r={r})", verdicts[key])
         else:
             a, b = args.params
             record(f"theorem1(a={a},b={b},m={args.m},r={args.rep})",

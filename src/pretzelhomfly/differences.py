@@ -10,6 +10,7 @@ left after trial division is reported as "irreducibility not certified".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,11 +26,13 @@ def special_point_monomials() -> List[Tuple[str, Monomial]]:
             ("A=1/q", Monomial(1, 0, -1)), ("A=-1/q", Monomial(-1, 0, -1))]
 
 
+@cache
 def four_point_divisor() -> LaurentPoly:
     """(A-q)(A+q)(Aq-1)(Aq+1), Theorem 1's divisor in the paper's literal form.
 
     It equals the r-dependent divisor (A-q)(A+q)(Aq^r-1)(Aq^r+1), i.e.
-    {A/q}{Aq^r} up to a unit, only at r = 1.
+    {A/q}{Aq^r} up to a unit, only at r = 1.  Built once per process; the
+    value is immutable.
     """
     A, q = LaurentPoly.var_A(), LaurentPoly.var_q()
     one = LaurentPoly.one()

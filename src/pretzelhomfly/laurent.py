@@ -176,19 +176,22 @@ class LaurentPoly:
                 out[exps] = s
             elif exps in out:
                 del out[exps]
-        res = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(res, "terms", out)
-        object.__setattr__(res, "_key", None)
-        return res
+        return _from_clean(out)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(res, "terms", {e: -c for e, c in self.terms.items()})
-        object.__setattr__(res, "_key", None)
-        return res
+        return _from_clean({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        if other.is_zero:
+            return self
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = out.get(exps, 0) - c
+            if s:
+                out[exps] = s
+            elif exps in out:
+                del out[exps]
+        return _from_clean(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
@@ -205,10 +208,7 @@ class LaurentPoly:
                     out[exps] = s
                 elif exps in out:
                     del out[exps]
-        res = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(res, "terms", out)
-        object.__setattr__(res, "_key", None)
-        return res
+        return _from_clean(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -241,21 +241,27 @@ class LaurentPoly:
         """Ring homomorphism sending ``var`` (``"A"`` or ``"q"``) to
         ``value.sign * A^value.expA * q^value.expQ``; the other variable is fixed.
         """
-        if var not in ("A", "q"):
-            raise ValueError("var must be 'A' or 'q'")
+        flip, va, vq = value.sign < 0, value.expA, value.expQ
         out: Dict[ExpPair, int] = {}
-        for (ea, eq), c in self.terms.items():
-            n = ea if var == "A" else eq
-            keep_a = 0 if var == "A" else ea
-            keep_q = 0 if var == "q" else eq
-            exps = (keep_a + value.expA * n, keep_q + value.expQ * n)
-            coeff = c * (value.sign if n % 2 else 1)
-            s = out.get(exps, 0) + coeff
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return LaurentPoly(out)
+        if var == "A":
+            for (ea, eq), c in self.terms.items():
+                exps = (va * ea, eq + vq * ea)
+                s = out.get(exps, 0) + (-c if flip and ea & 1 else c)
+                if s:
+                    out[exps] = s
+                elif exps in out:
+                    del out[exps]
+        elif var == "q":
+            for (ea, eq), c in self.terms.items():
+                exps = (ea + va * eq, vq * eq)
+                s = out.get(exps, 0) + (-c if flip and eq & 1 else c)
+                if s:
+                    out[exps] = s
+                elif exps in out:
+                    del out[exps]
+        else:
+            raise ValueError("var must be 'A' or 'q'")
+        return _from_clean(out)
 
     # -- unit normalization ------------------------------------------------
 
@@ -349,6 +355,14 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({(0, 0): 1})
+
+
+def _from_clean(terms: Dict[ExpPair, int]) -> LaurentPoly:
+    """Wrap a term map that holds no zero coefficient, without copying it."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.terms = terms
+    res._key = None
+    return res
 
 
 # -- univariate helpers for exact division --------------------------------

@@ -134,6 +134,37 @@ class TestVerify:
         (report,) = json.loads(out)["reports"]
         assert report["verdict"] == "fails"
 
+    def test_theorem1_sweep_shares_swapped_checks(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # the same stdout with no store, a cold store and a warm one, equal
+        # to 128 separate checks; Q^1 is computed once per distinct
+        # (min(a,b), max(a,b), m, r), 80 times in all
+        from itertools import product
+        from pretzelhomfly import differences
+        from pretzelhomfly.pretzel import HomflyEngine
+        eng = HomflyEngine()
+        odd = (-3, -1, 1, 3)
+        reports = [{"case": f"theorem1(a={a},b={b},m={m},r={r})",
+                    **differences.check_theorem_1(a, b, m, r, eng).to_json()}
+                   for a, b, c in product(odd, repeat=3)
+                   for m in [(c + 1) // 2] for r in (1, 2)]
+        assert len(reports) == 128
+        expect = json.dumps({"reports": reports}, sort_keys=True,
+                            separators=(",", ":")) + "\n"
+        calls = []
+        q_diff = differences.q_diff
+        monkeypatch.setattr(differences, "q_diff",
+                            lambda *a, **k: calls.append(a) or q_diff(*a, **k))
+        argv = ("verify", "theorem1", "--depth", "2", "--format", "json")
+        store = ("--cache-dir", str(tmp_path))
+        for extra in ((), store, store):
+            calls.clear()
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == EXIT_FAILS
+            assert out == expect
+            assert len(calls) == 80
+        assert len(list(tmp_path.glob("*/*.json"))) == 60
+
     def test_conj_946_holds(self, capsys):
         code, out, _ = run(capsys, "verify", "conj-946", "--depth", "3",
                            "--format", "json")
@@ -180,6 +211,29 @@ class TestCacheVerb:
                            "--format", "json")
         assert code == EXIT_OK
         assert len(json.loads(out)["entries"]) == (body != "[1, 2]")
+
+    @pytest.mark.parametrize("poly", [
+        {"terms": "x"},
+        {"terms": [[0, 0, "0"]]},
+        {"terms": [[0, 0, "1"], [0, 0, "-1"]]},
+    ], ids=["not-terms", "zero-coefficient", "repeated-term"])
+    def test_checksummed_bad_poly_exits_3(self, capsys, tmp_path, poly):
+        # the checksum matches, so only the polynomial itself is wrong: it
+        # must not read back as another value (0, -1) or as a ParseError
+        import hashlib
+        d = str(tmp_path)
+        argv = ("homfly", "--params", "1,1,1", "--rep", "1", "--cache-dir", d)
+        run(capsys, *argv)
+        (path,) = tmp_path.glob("*/*.json")
+        obj = json.loads(path.read_text())
+        obj["poly"] = poly
+        obj["checksum"] = hashlib.sha256(
+            json.dumps(poly, sort_keys=True).encode()).hexdigest()
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert json.loads(err)["error"] == "CorruptStore"
 
     def test_no_dir_is_usage_error(self, capsys, monkeypatch):
         from pretzelhomfly.cache import CACHE_ENV_VAR

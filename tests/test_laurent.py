@@ -108,6 +108,50 @@ class TestSubstitutionHomomorphism:
                     == a.substitute(var, m) * b.substitute(var, m))
 
 
+def _substitute_reference(p, var, m):
+    """Term by term: c A^ea q^eq with var replaced by a power of m."""
+    out = LaurentPoly.zero()
+    for (ea, eq), c in p:
+        if var == "A":
+            out = out + LaurentPoly.term(c, 0, eq) * m.as_poly() ** ea
+        else:
+            out = out + LaurentPoly.term(c, ea, 0) * m.as_poly() ** eq
+    return out
+
+
+class TestLeanArithmetic:
+    """substitute and __sub__ write their term maps directly, without the
+    cleaning pass of the constructor: results must equal the ring-operation
+    references and never store a zero coefficient."""
+
+    @given(poly_strategy(), monomials)
+    @settings(max_examples=150, deadline=None)
+    def test_substitute_matches_reference(self, p, m):
+        for var in ("A", "q"):
+            got = p.substitute(var, m)
+            assert got == _substitute_reference(p, var, m)
+            assert 0 not in got.terms.values()
+
+    @given(poly_strategy(), poly_strategy())
+    @settings(max_examples=150, deadline=None)
+    def test_sub_is_add_neg(self, a, b):
+        # (a + b) - b and b - (a + b) cancel every term that b adds to a
+        for x, y in ((a, b), (a + b, b), (b, a + b), (a, a)):
+            got = x - y
+            assert got == x + (-y)
+            assert 0 not in got.terms.values()
+        assert (a + b) - b == a
+
+    def test_substitute_cancels_to_zero(self):
+        p = A * q.scale(-1) + q * q  # -Aq + q^2 vanishes at A = q
+        got = p.substitute("A", Monomial(1, 0, 1))
+        assert got.is_zero and got.terms == {}
+
+    def test_substitute_rejects_unknown_variable(self):
+        with pytest.raises(ValueError):
+            A.substitute("x", Monomial(1, 0, 1))
+
+
 class TestSerialization:
     @given(poly_strategy())
     @settings(max_examples=60, deadline=None)
