@@ -1,9 +1,10 @@
 """Persistent memoization of computed HOMFLY polynomials.
 
-One JSON file per entry under a content-addressed layout.  Writes go through
-a temp file plus atomic rename, so the store is safe against concurrent
-writers and process kills; readers never see partial files.  A bump of
-ENGINE_VERSION invalidates every existing entry.
+One JSON file `<sha256 of key>.json` per entry, flat in the store directory.
+A write is a temp file plus an atomic rename, safe against concurrent writers
+and kills; readers never see partial files.  `clear` also removes entries of
+the old `<2 hex>/<sha256>.json` layout.  An ENGINE_VERSION bump invalidates
+every entry.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class HomflyCache:
     def _file(self, key: tuple) -> str:
         blob = json.dumps([list(key[0]), key[1], key[2]])
         digest = hashlib.sha256(blob.encode()).hexdigest()
-        return os.path.join(self._dir, digest[:2], f"{digest}.json")
+        return os.path.join(self._dir, f"{digest}.json")
 
     def _path(self, key: tuple) -> Path:
         return Path(self._file(key))
@@ -87,7 +88,7 @@ class HomflyCache:
         return CacheEntry(key=key, poly=poly)
 
     def put(self, key: tuple, poly: LaurentPoly):
-        path = self._path(key)
+        path = self._file(key)
         body = poly.to_json()
         obj = {
             "key": {"params": list(key[0]), "r": key[1]},
@@ -98,16 +99,15 @@ class HomflyCache:
             "timestamp": time.time(),
         }
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh)
+                fh.write(json.dumps(obj))  # json.dump encodes in pure Python
             os.replace(tmp, path)
         except OSError as exc:
             raise StoreUnwritable(f"cannot write cache entry {path}: {exc}") from exc
 
     def entries(self) -> Iterator[dict]:
-        for path in sorted(self.directory.glob("*/*.json")):
+        for path in sorted(self.directory.glob("*.json")):
             try:
                 with open(path, encoding="utf-8") as fh:
                     obj = json.load(fh)
@@ -120,11 +120,10 @@ class HomflyCache:
                    "timestamp": obj.get("timestamp")}
 
     def clear(self) -> int:
-        n = 0
-        for path in self.directory.glob("*/*.json"):
+        paths = [*self.directory.glob("*.json"), *self.directory.glob("*/*.json")]
+        for path in paths:
             path.unlink()
-            n += 1
-        return n
+        return len(paths)
 
 
 def resolve_cache_dir(flag_value: Optional[str]) -> Optional[Path]:

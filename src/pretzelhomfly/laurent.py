@@ -314,9 +314,17 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
+        """Inverse of `to_json`: `int()` alone would truncate a float and
+        accept a bool, "1_0" or " 1", so each term must be exactly
+        `[int, int, str(int)]`."""
+        terms = {}
         try:
-            return LaurentPoly({(int(ea), int(eq)): int(c)
-                                for ea, eq, c in obj["terms"]})
+            for ea, eq, c in obj["terms"]:
+                v = int(c)
+                if type(ea) is not int or type(eq) is not int or str(v) != c:
+                    raise ValueError(f"term {[ea, eq, c]!r}")
+                terms[ea, eq] = v
+            return LaurentPoly(terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polynomial JSON: {exc}") from exc
 

@@ -1,7 +1,10 @@
 """Persistent store: atomicity, checksums, versioning, key canonicalization."""
 
+import hashlib
+import io
 import json
 import os
+import time
 
 import pytest
 
@@ -43,7 +46,7 @@ class TestStore:
         entry = cache.get(key)
         assert entry is not None
         assert entry.poly == SAMPLE
-        (path,) = tmp_path.glob("*/*.json")
+        (path,) = tmp_path.glob("*.json")
         assert set(json.loads(path.read_text())) == {
             "key", "version", "poly", "checksum", "timestamp"}
 
@@ -51,7 +54,7 @@ class TestStore:
         # entries written before the field was dropped still read
         key = cache_key((1, 1, 1), 1)
         cache.put(key, SAMPLE)
-        (path,) = tmp_path.glob("*/*.json")
+        (path,) = tmp_path.glob("*.json")
         obj = json.loads(path.read_text())
         obj["duration"] = 0.5
         path.write_text(json.dumps(obj))
@@ -60,7 +63,7 @@ class TestStore:
     def test_stale_version_misses(self, cache, tmp_path):
         key = cache_key((1, 1, 1), 1)
         cache.put(key, SAMPLE)
-        (path,) = tmp_path.glob("*/*.json")
+        (path,) = tmp_path.glob("*.json")
         obj = json.loads(path.read_text())
         obj["version"] = "0-stale"
         path.write_text(json.dumps(obj))
@@ -69,7 +72,7 @@ class TestStore:
     def test_checksum_corruption_detected(self, cache, tmp_path):
         key = cache_key((1, 1, 1), 1)
         cache.put(key, SAMPLE)
-        (path,) = tmp_path.glob("*/*.json")
+        (path,) = tmp_path.glob("*.json")
         obj = json.loads(path.read_text())
         obj["poly"]["terms"][0][2] = "999"
         path.write_text(json.dumps(obj))
@@ -94,6 +97,31 @@ class TestStore:
         assert not list(cache.entries())
 
 
+class TestLayout:
+    def test_put_writes_one_flat_file(self, cache, tmp_path):
+        cache.put(cache_key((1, 1, 1), 1), SAMPLE)
+        blob = json.dumps([[1, 1, 1], 1, ENGINE_VERSION])
+        name = hashlib.sha256(blob.encode()).hexdigest() + ".json"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).is_file()
+
+    def test_text_equals_json_dump(self, cache, tmp_path, monkeypatch):
+        # put writes byte for byte what json.dump writes for the entry
+        monkeypatch.setattr(time, "time", lambda: 1760848136.6789012)
+        cache.put(cache_key((3, 1, -3), 2), SAMPLE)
+        body = SAMPLE.to_json()
+        obj = {"key": {"params": [-3, 1, 3], "r": 2},
+               "version": ENGINE_VERSION,
+               "poly": body,
+               "checksum": hashlib.sha256(
+                   json.dumps(body, sort_keys=True).encode()).hexdigest(),
+               "timestamp": 1760848136.6789012}
+        fh = io.StringIO()
+        json.dump(obj, fh)
+        (path,) = tmp_path.glob("*.json")
+        assert path.read_text(encoding="utf-8") == fh.getvalue()
+
+
 class TestEngineIntegration:
     def test_cache_hit_skips_recompute(self, tmp_path):
         eng1 = HomflyEngine(cache=HomflyCache(tmp_path))
@@ -115,9 +143,9 @@ class TestEngineIntegration:
     def test_permutations_share_entry(self, tmp_path):
         eng = HomflyEngine(cache=HomflyCache(tmp_path))
         eng.homfly(PretzelSpec((3, 1, -3), 1))
-        files = list(tmp_path.glob("*/*.json"))
+        files = list(tmp_path.glob("*.json"))
         eng.homfly(PretzelSpec((-3, 3, 1), 1))
-        assert list(tmp_path.glob("*/*.json")) == files
+        assert list(tmp_path.glob("*.json")) == files
 
 
 class TestResolveDir:

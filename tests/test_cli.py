@@ -89,7 +89,7 @@ class TestDiff:
         d = str(tmp_path)
         _, plain, _ = run(capsys, *argv)
         _, cold, _ = run(capsys, *argv, "--cache-dir", d)
-        assert len(list(tmp_path.glob("*/*.json"))) == 6
+        assert len(list(tmp_path.glob("*.json"))) == 6
         calls = []
         assemble = HomflyEngine.homfly_rational
         monkeypatch.setattr(HomflyEngine, "homfly_rational",
@@ -163,7 +163,7 @@ class TestVerify:
             assert code == EXIT_FAILS
             assert out == expect
             assert len(calls) == 80
-        assert len(list(tmp_path.glob("*/*.json"))) == 60
+        assert len(list(tmp_path.glob("*.json"))) == 60
 
     def test_conj_946_holds(self, capsys):
         code, out, _ = run(capsys, "verify", "conj-946", "--depth", "3",
@@ -194,13 +194,33 @@ class TestCacheVerb:
         assert code == EXIT_OK
         assert json.loads(out)["cleared"] == 1
 
+    def test_clear_counts_old_sharded_entries(self, capsys, tmp_path):
+        # an entry in the older <2 hex>/<sha256>.json layout is not listed
+        # (nothing reads it) but clear removes and counts it
+        d = str(tmp_path)
+        for params in ("1,1,1", "1,1,3"):
+            run(capsys, "homfly", "--params", params, "--rep", "1",
+                "--cache-dir", d)
+        old, _ = sorted(tmp_path.glob("*.json"))
+        (tmp_path / old.name[:2]).mkdir()
+        old.rename(tmp_path / old.name[:2] / old.name)
+        code, out, _ = run(capsys, "cache", "ls", "--cache-dir", d,
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["entries"]) == 1
+        code, out, _ = run(capsys, "cache", "clear", "--cache-dir", d,
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["cleared"] == 2
+        assert not list(tmp_path.glob("**/*.json"))
+
     @pytest.mark.parametrize("body", ['{"version": "x", "checksum": "0"}',
                                       '[1, 2]'], ids=["missing-poly", "list"])
     def test_malformed_entry_exits_3(self, capsys, tmp_path, body):
         d = str(tmp_path)
         argv = ("homfly", "--params", "1,1,1", "--rep", "1", "--cache-dir", d)
         run(capsys, *argv)
-        (path,) = tmp_path.glob("*/*.json")
+        (path,) = tmp_path.glob("*.json")
         path.write_text(body)
         code, _, err = run(capsys, *argv)
         assert code == EXIT_ERROR
@@ -216,15 +236,23 @@ class TestCacheVerb:
         {"terms": "x"},
         {"terms": [[0, 0, "0"]]},
         {"terms": [[0, 0, "1"], [0, 0, "-1"]]},
-    ], ids=["not-terms", "zero-coefficient", "repeated-term"])
+        {"terms": [[0, 0, 1.5]]},
+        {"terms": [[0, 0, True]]},
+        {"terms": [[0.9, 0, "1"]]},
+        {"terms": [[0, 0, "1_0"]]},
+        {"terms": [[0, 0, " 1"]]},
+    ], ids=["not-terms", "zero-coefficient", "repeated-term",
+            "float-coefficient", "bool-coefficient", "float-exponent",
+            "underscore-digits", "padded-digits"])
     def test_checksummed_bad_poly_exits_3(self, capsys, tmp_path, poly):
         # the checksum matches, so only the polynomial itself is wrong: it
-        # must not read back as another value (0, -1) or as a ParseError
+        # must not read back as another value (0, -1, 1, 10) or as a
+        # ParseError
         import hashlib
         d = str(tmp_path)
         argv = ("homfly", "--params", "1,1,1", "--rep", "1", "--cache-dir", d)
         run(capsys, *argv)
-        (path,) = tmp_path.glob("*/*.json")
+        (path,) = tmp_path.glob("*.json")
         obj = json.loads(path.read_text())
         obj["poly"] = poly
         obj["checksum"] = hashlib.sha256(
@@ -245,7 +273,7 @@ class TestCacheVerb:
         from pretzelhomfly.cache import CACHE_ENV_VAR
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
         run(capsys, "homfly", "--params", "1,1,3", "--rep", "1")
-        assert list(tmp_path.glob("*/*.json"))
+        assert list(tmp_path.glob("*.json"))
 
 
 class TestSchur:
