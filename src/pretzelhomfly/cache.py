@@ -3,8 +3,8 @@
 One JSON file `<sha256 of key>.json` per entry, flat in the store directory.
 A write is a temp file plus an atomic rename, safe against concurrent writers
 and kills; readers never see partial files.  `clear` also removes entries of
-the old `<2 hex>/<sha256>.json` layout.  An ENGINE_VERSION bump invalidates
-every entry.
+the old `<2 hex>/<sha256>.json` layout, and their directories once empty.
+An ENGINE_VERSION bump invalidates every entry.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 from . import ENGINE_VERSION
 from .errors import CorruptStore, ParseError, StoreUnwritable
@@ -120,9 +120,15 @@ class HomflyCache:
                    "timestamp": obj.get("timestamp")}
 
     def clear(self) -> int:
-        paths = [*self.directory.glob("*.json"), *self.directory.glob("*/*.json")]
+        sharded = list(self.directory.glob("*/*.json"))
+        paths = [*self.directory.glob("*.json"), *sharded]
         for path in paths:
             path.unlink()
+        for shard in {path.parent for path in sharded}:
+            name = shard.name
+            if (len(name) == 2 and set(name) <= set("0123456789abcdef")
+                    and not any(shard.iterdir())):
+                shard.rmdir()
         return len(paths)
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineError, NotDivisible, ZeroPolynomial
 from .laurent import LaurentPoly, Monomial
-from .pretzel import HomflyEngine, PretzelSpec, _default_engine
+from .pretzel import HomflyEngine, _default_engine
 from .report import Verdict
 
 
@@ -73,33 +73,6 @@ def q_diff(n: int, a: int, b: int, c: int, r: int,
            engine: Optional[HomflyEngine] = None) -> LaurentPoly:
     """Q^n(c, r) = Q^(n-1)(c+2, r) - Q^(n-1)(c, r); Q^0 is the invariant."""
     return q_diff_window(n, (a, b), [c], r, engine)[0]
-
-
-def q_diff_genus_rational(n: int, params: Sequence[int], r: int,
-                          engine: Optional[HomflyEngine] = None):
-    """Rational-function variant for families whose members are links (an
-    even number of odd parameters), where the invariant is not polynomial."""
-    if n < 0:
-        raise ValueError("difference order must be >= 0")
-    eng = engine or _default_engine
-    if n == 0:
-        return eng.homfly_rational(PretzelSpec(params, r))
-    up = tuple(params[:-1]) + (params[-1] + 2,)
-    return (q_diff_genus_rational(n - 1, up, r, eng)
-            - q_diff_genus_rational(n - 1, params, r, eng))
-
-
-def check_genus_vanishing(params: Sequence[int], r: int,
-                          engine: Optional[HomflyEngine] = None) -> Verdict:
-    """First difference in the last parameter vanishes at the four special
-    points, for arbitrary genus; works on the rational form so link-valued
-    families are covered."""
-    d = q_diff_genus_rational(1, params, r, engine)
-    for label, mono in special_point_monomials():
-        value = d.substitute("A", mono)
-        if not value.is_zero:
-            return Verdict.fails(value, f"difference does not vanish at {label}")
-    return Verdict.holds("first difference vanishes at all four special points")
 
 
 # -- catalog factorization --------------------------------------------------

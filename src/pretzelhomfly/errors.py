@@ -37,6 +37,12 @@ class IndexOutOfRange(EngineError):
     pass
 
 
+class NotInBasis(EngineError):
+    """A rational function was asked to divide by something other than a unit
+    times an integer times a vector over its bracket/cyclotomic basis, such as
+    A - q or an expanded sum."""
+
+
 class NotPolynomial(EngineError):
     """A rational function expected to clear its denominator did not."""
 

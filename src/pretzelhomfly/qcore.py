@@ -1,8 +1,8 @@
 """Quantum-number combinatorics and exact rational functions over the Laurent ring.
 
-A :class:`RationalFn` is ``cof * prod f^e / (den * prod O^m)``.  ``cof`` is
-an expanded Laurent polynomial, ``den`` a positive integer, and the ``f`` run
-over a fixed basis of pairwise coprime, unit-stripped polynomials with signed
+A :class:`RationalFn` is ``cof * prod f^e / den``.  ``cof`` is an expanded
+Laurent polynomial, ``den`` a positive integer, and the ``f`` run over a
+fixed basis of pairwise coprime, unit-stripped polynomials with signed
 exponents ``e``:
 
     ("B", k)   A^2 q^2k - 1      {Aq^k} = A^-1 q^-k (A^2 q^2k - 1)
@@ -19,25 +19,20 @@ denominator, each behind an exact divisibility test (a chain sum for
 ("B", k), a residue mod q^2d - 1 for ("C", d)), so no division by a basis
 factor fails.
 
-Premise, measured over the inputs of the four benchmark workloads,
-``verify conj-935 --depth 5``, ``verify conj-946 --depth 5`` and
-``homfly --rep 5`` for (3,3,-3), (1,1,1) and (-3,5,1): every denominator
-factor splits into this basis, with k in [-1, 9] and d <= 11, and none is
-left over.  The same holds on the Jacobi-Trudi route of ``symfunc``, over
-every diagram of at most 10 boxes and 8 rows and [8,6,4,2,1,1]: each
-denominator is ("C", d) factors with d <= 13 times a partition weight in
-``den`` (at most 13!), with no ("B", k) and no opaque factor.  A factor
-outside the basis (``A - q``, or what remains of an inverted cofactor) is
-kept whole as an opaque denominator factor ``O``; cancellation against it
-is trial division of the full numerator, so ``to_poly`` succeeds whenever
-the value is a polynomial.
+Premise, enforced: every divisor is a unit times an integer times a basis
+vector.  ``div_poly`` takes only a unit times an integer (the Jacobi-Trudi
+route of ``symfunc`` puts its partition weights into ``den`` this way), and
+``inverse`` only a value whose cofactor is a unit times an integer.  Any
+other divisor (``A - q``, a piece ``A q - 1`` of a basis factor, an expanded
+sum) raises :class:`NotInBasis`.  The values the engine divides by meet it:
+the brackets, D_j, G(n), chi and [a]!/[b]! below are built that way, and the
+first-row Racah entries s_0x, which are sums, reduce to it.
 
 Reduced form, restored after every operation: ``f`` does not divide ``cof``
-for each ``f`` with ``e < 0``; no ``O`` divides the numerator; ``den`` is
-coprime to the content of ``cof``; a zero value has an empty denominator.
-That is not always lowest terms (``cof`` may share a piece A q^k ± 1 or
-Phi_d(q) with a denominator factor), but the value is a polynomial exactly
-when its denominator is empty.
+for each ``f`` with ``e < 0``; ``den`` is coprime to the content of ``cof``;
+a zero value has an empty denominator.  That is not always lowest terms
+(``cof`` may share a piece A q^k ± 1 or Phi_d(q) with a denominator factor),
+but the value is a polynomial exactly when its denominator is empty.
 """
 
 from __future__ import annotations
@@ -45,14 +40,12 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (DivisionByZero, NegativeInput, NotDivisible,
+from .errors import (DivisionByZero, NegativeInput, NotInBasis,
                      NotPolynomial, OutOfRange)
 from .laurent import LaurentPoly, Monomial
 
 BasisKey = Tuple[str, int]
 Vec = Dict[BasisKey, int]
-# opaque denominator factors: poly key -> (stripped primitive poly, multiplicity)
-Opaque = Dict[tuple, Tuple[LaurentPoly, int]]
 
 
 def qbracket_q(j: int) -> LaurentPoly:
@@ -199,39 +192,13 @@ def _basis_quotient(p: LaurentPoly, key: BasisKey) -> Optional[LaurentPoly]:
     return LaurentPoly(out)
 
 
-def _candidates(s: LaurentPoly) -> List[BasisKey]:
-    """Every basis factor that can divide the unit-stripped ``s``."""
-    amax = max(i for i, _ in s.terms)
-    qmax = max(j for _, j in s.terms)
-    # a ("B", k) factor spans 2 in A and 2|k| in q
-    out: List[BasisKey] = ([("B", k) for k in range(-(qmax // 2), qmax // 2 + 1)]
-                           if amax >= 2 else [])
-    # Phi_d(q^2) divides every A-coefficient of s, so its q-degree 2 phi(d)
-    # is at most their least span; phi(d) > d/6 for d < 6e9 gives d < 3 span
-    rows: Dict[int, List[int]] = {}
-    for i, j in s.terms:
-        rows.setdefault(i, []).append(j)
-    span = min(max(js) - min(js) for js in rows.values())
-    return out + [("C", d) for d in range(1, 3 * span)]
-
-
-def _split(p: LaurentPoly) -> Tuple[Monomial, int, Vec, LaurentPoly]:
-    """p = unit * content * prod basis^vec * rest, with rest unit-stripped,
-    primitive and divisible by no basis factor."""
+def _split(p: LaurentPoly, role: str) -> Tuple[Monomial, int]:
+    """p = unit * content with content > 0, or raise NotInBasis."""
     unit, s = p.strip_monomial()
-    content = s.content()
-    if content > 1:
-        s = LaurentPoly({e: c // content for e, c in s.terms.items()})
-    vec: Vec = {}
     if len(s.terms) > 1:
-        for key in _candidates(s):
-            while True:
-                quot = _basis_quotient(s, key)
-                if quot is None:
-                    break
-                s = quot
-                vec[key] = vec.get(key, 0) + 1
-    return unit, content, vec, s
+        raise NotInBasis(f"{role} {p.to_text()} is not a unit times an "
+                         "integer; build it over the basis")
+    return unit, s.terms[(0, 0)]
 
 
 def _expand(vec: Vec) -> LaurentPoly:
@@ -261,15 +228,14 @@ def _den_keys(vec: Vec) -> List[BasisKey]:
 class RationalFn:
     """Quotient of Laurent polynomials over the bracket/cyclotomic basis."""
 
-    __slots__ = ("cof", "vec", "den", "opq")
+    __slots__ = ("cof", "vec", "den")
 
     def __init__(self, cof: LaurentPoly, vec: Optional[Vec] = None,
-                 den: int = 1, opq: Optional[Opaque] = None):
+                 den: int = 1):
         """Takes the parts as they are; the operations keep them reduced."""
         self.cof = cof
         self.vec = vec or {}
         self.den = den
-        self.opq = opq or {}
 
     # -- construction ------------------------------------------------------
 
@@ -285,17 +251,10 @@ class RationalFn:
     def zero() -> "RationalFn":
         return RationalFn(LaurentPoly.zero())
 
-    @staticmethod
-    def from_ratio(num: LaurentPoly, *dens: LaurentPoly) -> "RationalFn":
-        out = RationalFn(num)
-        for d in dens:
-            out = out.div_poly(d)
-        return out
-
     # -- normalization -----------------------------------------------------
 
     @staticmethod
-    def _reduced(cof: LaurentPoly, vec: Vec, den: int, opq: Opaque,
+    def _reduced(cof: LaurentPoly, vec: Vec, den: int,
                  keys: Iterable[BasisKey]) -> "RationalFn":
         """Restore the reduced form.  ``keys`` are the denominator basis
         factors that may divide ``cof``; the caller knows the others do not."""
@@ -313,24 +272,19 @@ class RationalFn:
                     vec[key] = e
                 else:
                     del vec[key]
-        if opq:
-            cof, vec, opq = _cancel_opaque(cof, vec, opq)
         if den > 1:
             g = gcd(cof.content(), den)
             if g > 1:
                 cof = LaurentPoly({e: c // g for e, c in cof.terms.items()})
                 den //= g
-        return RationalFn(cof, vec, den, opq)
+        return RationalFn(cof, vec, den)
 
     def _num_poly(self) -> LaurentPoly:
         return self.cof * _expand({k: e for k, e in self.vec.items() if e > 0})
 
     def _den_poly(self) -> LaurentPoly:
-        out = LaurentPoly.const(self.den) * _expand(
+        return LaurentPoly.const(self.den) * _expand(
             {k: -e for k, e in self.vec.items() if e < 0})
-        for poly, mult in self.opq.values():
-            out = out * poly ** mult
-        return out
 
     # -- queries -----------------------------------------------------------
 
@@ -340,8 +294,7 @@ class RationalFn:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == 1 and not self.opq and all(
-            e > 0 for e in self.vec.values())
+        return self.den == 1 and all(e > 0 for e in self.vec.values())
 
     def to_poly(self) -> LaurentPoly:
         if not self.is_polynomial:
@@ -354,7 +307,7 @@ class RationalFn:
             other = RationalFn.from_poly(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        _, _, _, left, right = _common(self, other)
+        _, _, left, right = _common(self, other)
         return left == right
 
     def __hash__(self):
@@ -366,9 +319,6 @@ class RationalFn:
         if self.is_zero or other.is_zero:
             return RationalFn.zero()
         vec = _add_vec(self.vec, other.vec)
-        opq = dict(self.opq)
-        for key, (poly, mult) in other.opq.items():
-            opq[key] = (poly, opq[key][1] + mult if key in opq else mult)
         # a reduced side's own denominator factors do not divide its cofactor
         # (nor, by coprimality, a unit times it)
         unit_self = len(self.cof.terms) == 1
@@ -377,52 +327,46 @@ class RationalFn:
                 if not (unit_self and other.vec.get(k, 0) < 0)
                 and not (unit_other and self.vec.get(k, 0) < 0)]
         return RationalFn._reduced(self.cof * other.cof, vec,
-                                   self.den * other.den, opq, keys)
+                                   self.den * other.den, keys)
 
     def mul_poly(self, p: LaurentPoly) -> "RationalFn":
         keys = _den_keys(self.vec) if len(p.terms) > 1 else ()
         return RationalFn._reduced(self.cof * p, dict(self.vec), self.den,
-                                   dict(self.opq), keys)
+                                   keys)
 
     def div_poly(self, p: LaurentPoly) -> "RationalFn":
+        """self / p for p a unit times an integer; other divisors raise
+        NotInBasis."""
         if p.is_zero:
             raise DivisionByZero("division by zero polynomial")
-        unit, content, split, rest = _split(p)
-        vec = _add_vec(self.vec, split, -1)
-        opq = dict(self.opq)
-        if not rest.is_one:
-            key = rest.key()
-            opq[key] = (rest, opq[key][1] + 1 if key in opq else 1)
-        keys = [k for k in split
-                if vec.get(k, 0) < 0 and self.vec.get(k, 0) >= 0]
-        return RationalFn._reduced(self.cof.shift(unit.inverse()), vec,
-                                   self.den * content, opq, keys)
+        unit, content = _split(p, "divisor")
+        return RationalFn._reduced(self.cof.shift(unit.inverse()),
+                                   dict(self.vec), self.den * content, ())
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        vec, den, opq, left, right = _common(self, other)
-        return RationalFn._reduced(left + right, vec, den, opq, _den_keys(vec))
+        vec, den, left, right = _common(self, other)
+        return RationalFn._reduced(left + right, vec, den, _den_keys(vec))
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.cof, self.vec, self.den, self.opq)
+        return RationalFn(-self.cof, self.vec, self.den)
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-other)
 
     def inverse(self) -> "RationalFn":
+        """1 / self for a cofactor that is a unit times an integer; other
+        cofactors raise NotInBasis."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        unit, content, split, rest = _split(self.cof)
-        num = LaurentPoly.const(self.den).shift(unit.inverse())
-        for poly, mult in self.opq.values():
-            num = num * poly ** mult
-        vec = _add_vec({k: -e for k, e in self.vec.items()}, split, -1)
-        opq = {} if rest.is_one else {rest.key(): (rest, 1)}
-        return RationalFn._reduced(num, vec, content, opq,
-                                   _den_keys(vec) if self.opq else ())
+        unit, content = _split(self.cof, "cofactor")
+        # reduced: self.den is coprime to content, and the new cofactor is
+        # a monomial, which no basis factor divides
+        return RationalFn(LaurentPoly.const(self.den).shift(unit.inverse()),
+                          {k: -e for k, e in self.vec.items()}, content)
 
     def __truediv__(self, other: "RationalFn") -> "RationalFn":
         return self * other.inverse()
@@ -433,56 +377,6 @@ class RationalFn:
         out = RationalFn.one()
         for _ in range(n):
             out = out * self
-        return out
-
-    # -- specialization ----------------------------------------------------
-
-    def substitute(self, var: str, value: Monomial) -> "RationalFn":
-        """Specialize one variable.  Removable singularities are cancelled
-        exactly: every denominator factor that vanishes under the substitution
-        is written as kernel^k * rest with the kernel A - value (or q - value),
-        and the numerator must absorb the full kernel power, else the point is
-        a genuine pole."""
-        num = self._num_poly()
-        dens = [(_basis_poly(k), -e) for k, e in self.vec.items() if e < 0]
-        dens += self.opq.values()
-        kernel_power = 0
-        finite_dens: List[Tuple[LaurentPoly, int]] = []
-        kernel: Optional[LaurentPoly] = None
-        for poly, mult in dens:
-            d = poly.substitute(var, value)
-            if not d.is_zero:
-                finite_dens.append((d, mult))
-                continue
-            if kernel is None:
-                kernel = _substitution_kernel(var, value)
-            k, rest = 0, poly
-            while True:
-                try:
-                    rest = rest.exact_div(kernel)
-                except NotDivisible:
-                    break
-                k += 1
-            rest_sub = rest.substitute(var, value)
-            if k == 0 or rest_sub.is_zero:
-                raise DivisionByZero(
-                    f"denominator factor {poly.to_text()} vanishes beyond the "
-                    "linear kernel under the substitution")
-            kernel_power += k * mult
-            if not rest_sub.is_one:
-                finite_dens.append((rest_sub, mult))
-        for _ in range(kernel_power):
-            try:
-                num = num.exact_div(kernel)
-            except NotDivisible:
-                raise DivisionByZero(
-                    "substitution hits a genuine pole: numerator does not "
-                    f"absorb {kernel.to_text()}^{kernel_power}") from None
-        out = RationalFn.from_ratio(num.substitute(var, value),
-                                    LaurentPoly.const(self.den))
-        for d, mult in finite_dens:
-            for _ in range(mult):
-                out = out.div_poly(d)
         return out
 
     # -- display -----------------------------------------------------------
@@ -497,10 +391,10 @@ class RationalFn:
 
 
 def _common(x: RationalFn, y: RationalFn
-            ) -> Tuple[Vec, int, Opaque, LaurentPoly, LaurentPoly]:
+            ) -> Tuple[Vec, int, LaurentPoly, LaurentPoly]:
     """x = left * F and y = right * F over the common factor F: the
     componentwise min of the vectors, over the lcm of the integer
-    denominators and the max of the opaque multisets."""
+    denominators."""
     vec: Vec = {}
     # in dict order, not set order, so that expansions repeat run to run
     for key in {**x.vec, **y.vec}:
@@ -508,54 +402,13 @@ def _common(x: RationalFn, y: RationalFn
         if e:
             vec[key] = e
     den = x.den * y.den // gcd(x.den, y.den)
-    opq = dict(x.opq)
-    for key, (poly, mult) in y.opq.items():
-        if mult > opq.get(key, (poly, 0))[1]:
-            opq[key] = (poly, mult)
 
     def lift(z: RationalFn) -> LaurentPoly:
         out = z.cof if den == z.den else z.cof.scale(den // z.den)
         missing = _expand(_add_vec(z.vec, vec, -1))
-        for key, (poly, mult) in opq.items():
-            extra = mult - z.opq.get(key, (poly, 0))[1]
-            if extra:
-                missing = missing * poly ** extra
         return out if missing.is_one else out * missing
 
-    return vec, den, opq, lift(x), lift(y)
-
-
-def _cancel_opaque(cof: LaurentPoly, vec: Vec, opq: Opaque
-                   ) -> Tuple[LaurentPoly, Vec, Opaque]:
-    """Divide the numerator by each opaque factor as often as it goes.  An
-    opaque factor may share an irreducible piece (A q^k ± 1, Phi_d(q)) with a
-    numerator basis factor, so before giving up the numerator is expanded."""
-    out: Opaque = {}
-    for key, (poly, mult) in opq.items():
-        while mult:
-            try:
-                cof = cof.exact_div(poly)
-            except NotDivisible:
-                num_part = {k: e for k, e in vec.items() if e > 0}
-                if not num_part:
-                    break
-                cof = cof * _expand(num_part)
-                vec = {k: e for k, e in vec.items() if e < 0}
-                continue
-            mult -= 1
-        if mult:
-            out[key] = (poly, mult)
-    return cof, vec, out
-
-
-def _substitution_kernel(var: str, value: Monomial) -> LaurentPoly:
-    """The linear polynomial vanishing exactly where var equals value."""
-    if var == "A" and value.expA == 0:
-        return LaurentPoly({(1, 0): 1, (0, value.expQ): -value.sign})
-    if var == "q" and value.expQ == 0:
-        return LaurentPoly({(0, 1): 1, (value.expA, 0): -value.sign})
-    raise DivisionByZero(
-        f"cannot cancel a vanishing denominator for substitution {var} -> {value}")
+    return vec, den, lift(x), lift(y)
 
 
 # -- the paper-facing quantum-number functions -----------------------------

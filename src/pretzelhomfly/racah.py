@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .errors import DivisionByZero, IndexOutOfRange
+from .errors import IndexOutOfRange
 from .laurent import LaurentPoly, Monomial
 from .qcore import RationalFn, bigD, bigG, chi_two_row, delta, qfact_ratio
 
@@ -101,24 +101,6 @@ def build_Tbar(r: int, n: int = 1) -> List[Monomial]:
     for m in range(r + 1):
         e = m * n
         out.append(Monomial(-1 if e % 2 else 1, e, (m - 1) * e))
-    return out
-
-
-def first_row_squares_at(matrix: Matrix, radicands: List[RationalFn],
-                         mono: Monomial) -> List[Optional[RationalFn]]:
-    """Squares of the row-0 entries, matrix[0][m]^2 radicands[m], specialized
-    at A -> mono.
-
-    The radicands are chi_m for s and Delta_m for s-bar (Delta_0 = 1).  An
-    entry with a genuine pole at the point is reported as None rather than
-    raising; the first rows do develop poles at A = +-1/q once r >= 2.
-    """
-    out: List[Optional[RationalFn]] = []
-    for entry, radicand in zip(matrix[0], radicands):
-        try:
-            out.append((entry * entry * radicand).substitute("A", mono))
-        except DivisionByZero:
-            out.append(None)
     return out
 
 

@@ -1,0 +1,55 @@
+"""Reference arithmetic for tests: equality with a ratio of expanded
+polynomials, and values at a point.
+
+RationalFn divides only by a unit times a vector over its basis, so a
+reference value such as (A - q)(A + q) / ((A^2 - 1)(q^2 + 1)) cannot be
+built as one.  equals_ratio compares with such a ratio by
+cross-multiplication, which needs no division, and at specialises one
+variable of the expanded numerator and denominator, cancelling the linear
+kernel var - value exactly wherever both vanish.
+"""
+
+from pretzelhomfly.errors import DivisionByZero
+from pretzelhomfly.laurent import LaurentPoly, Monomial
+
+
+def equals_ratio(f, num: LaurentPoly, *dens: LaurentPoly) -> bool:
+    """f == num / prod(dens), checked as f * prod(dens) == num."""
+    for d in dens:
+        f = f.mul_poly(d)
+    return f == num
+
+
+def at(f, var: str, value: Monomial):
+    """(num, den) with f = num / den at var = value and den != 0.
+
+    value must not involve var itself: A = +-q^k or q = +-A^k.  Raises
+    DivisionByZero when f has a pole there."""
+    if var == "A":
+        kernel = LaurentPoly({(1, 0): 1, (0, value.expQ): -value.sign})
+    else:
+        kernel = LaurentPoly({(0, 1): 1, (value.expA, 0): -value.sign})
+    num, den = f._num_poly(), f._den_poly()
+    while den.substitute(var, value).is_zero:
+        if not num.substitute(var, value).is_zero:
+            raise DivisionByZero(f"pole at {var} = {value}")
+        num, den = num.exact_div(kernel), den.exact_div(kernel)
+    return num.substitute(var, value), den.substitute(var, value)
+
+
+def is_value(pair, value: LaurentPoly) -> bool:
+    """pair = (num, den), as at returns it, is num / den == value."""
+    return pair is not None and pair[0] == value * pair[1]
+
+
+def first_row_squares_at(matrix, radicands, mono: Monomial):
+    """matrix[0][m]^2 radicands[m] at A = mono, as (num, den), or None where
+    the entry has a pole.  The radicands are chi_m for s and Delta_m for
+    s-bar (Delta_0 = 1)."""
+    out = []
+    for entry, radicand in zip(matrix[0], radicands):
+        try:
+            out.append(at(entry * entry * radicand, "A", mono))
+        except DivisionByZero:
+            out.append(None)
+    return out

@@ -196,7 +196,8 @@ class TestCacheVerb:
 
     def test_clear_counts_old_sharded_entries(self, capsys, tmp_path):
         # an entry in the older <2 hex>/<sha256>.json layout is not listed
-        # (nothing reads it) but clear removes and counts it
+        # (nothing reads it) but clear removes and counts it, and then its
+        # emptied directory
         d = str(tmp_path)
         for params in ("1,1,1", "1,1,3"):
             run(capsys, "homfly", "--params", params, "--rep", "1",
@@ -213,6 +214,7 @@ class TestCacheVerb:
         assert code == EXIT_OK
         assert json.loads(out)["cleared"] == 2
         assert not list(tmp_path.glob("**/*.json"))
+        assert not (tmp_path / old.name[:2]).exists()
 
     @pytest.mark.parametrize("body", ['{"version": "x", "checksum": "0"}',
                                       '[1, 2]'], ids=["missing-poly", "list"])

@@ -1,16 +1,21 @@
 """Quantum-number combinatorics and factored rational functions."""
 
+import operator
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretzelhomfly.errors import (DivisionByZero, NegativeInput, NotPolynomial,
-                                  OutOfRange)
+from pretzelhomfly.errors import (DivisionByZero, EngineError, NegativeInput,
+                                  NotInBasis, NotPolynomial, OutOfRange)
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.qcore import (RationalFn, _basis_poly, _basis_quotient,
                                  _divides, bigD, bigG, bracket_Aq, bracket_q,
                                  chi_rows, chi_two_row, delta, qbinom,
                                  qbracket_Aq, qbracket_q, qfact, qfact_ratio,
                                  qint)
+
+from ratref import at, equals_ratio, is_value
 
 one = LaurentPoly.one()
 
@@ -57,51 +62,49 @@ class TestQuantumNumbers:
 
 class TestBigDG:
     def test_D_examples(self):
-        assert bigD(0) == RationalFn.from_ratio(qbracket_Aq(0), qbracket_q(1))
-        assert bigD(-1) == RationalFn.from_ratio(qbracket_Aq(-1), qbracket_q(1))
+        assert equals_ratio(bigD(0), qbracket_Aq(0), qbracket_q(1))
+        assert equals_ratio(bigD(-1), qbracket_Aq(-1), qbracket_q(1))
 
     def test_D_at_A_eq_q(self):
         # D_j specializes to [j+1] for j >= 0
         sub = Monomial(1, 0, 1)
         for j in range(5):
-            assert bigD(j).substitute("A", sub) == RationalFn.from_poly(qint(j + 1))
+            assert is_value(at(bigD(j), "A", sub), qint(j + 1))
 
     def test_G_basics(self):
         assert bigG(0) == RationalFn.one()
-        assert bigG(1) == RationalFn.from_ratio(qbracket_Aq(-1), qbracket_q(1))
+        assert equals_ratio(bigG(1), qbracket_Aq(-1), qbracket_q(1))
 
     def test_G_vanishing_at_special_points(self):
         # at A = q every G(i), i > 0 vanishes; at A = 1/q only i >= 3 do
         at_q = Monomial(1, 0, 1)
         at_inv = Monomial(1, 0, -1)
         for i in range(1, 6):
-            assert bigG(i).substitute("A", at_q).is_zero
-        assert not bigG(1).substitute("A", at_inv).is_zero
-        assert not bigG(2).substitute("A", at_inv).is_zero
+            assert at(bigG(i), "A", at_q)[0].is_zero
+        assert not at(bigG(1), "A", at_inv)[0].is_zero
+        assert not at(bigG(2), "A", at_inv)[0].is_zero
         for i in range(3, 6):
-            assert bigG(i).substitute("A", at_inv).is_zero
+            assert at(bigG(i), "A", at_inv)[0].is_zero
 
     @staticmethod
     def assert_unit_times_vector(f):
         assert f.cof.as_monomial() is not None
-        assert f.den == 1 and not f.opq
+        assert f.den == 1
 
     def test_G_matches_expanded_product(self):
         for n in range(13):
             num = one
             for j in range(1, n + 1):
                 num = num * qbracket_Aq(j - 2)
-            expect = RationalFn.from_ratio(
-                num, *[qbracket_q(j) for j in range(1, n + 1)])
-            assert bigG(n) == expect, n
+            assert equals_ratio(
+                bigG(n), num, *[qbracket_q(j) for j in range(1, n + 1)]), n
             self.assert_unit_times_vector(bigG(n))
 
     def test_brackets_and_D_match_expanded(self):
         for j in range(-12, 13):
             assert bracket_Aq(j) == RationalFn.from_poly(qbracket_Aq(j)), j
             assert bracket_q(j) == RationalFn.from_poly(qbracket_q(j)), j
-            assert bigD(j) == RationalFn.from_ratio(
-                qbracket_Aq(j), qbracket_q(1)), j
+            assert equals_ratio(bigD(j), qbracket_Aq(j), qbracket_q(1)), j
             for f in (bracket_Aq(j), bigD(j)) + ((bracket_q(j),) if j else ()):
                 self.assert_unit_times_vector(f)
         assert bracket_q(0).is_zero
@@ -123,100 +126,135 @@ def poly_strategy(max_terms=3):
         lambda ts: LaurentPoly({(a, b): c for a, b, c in ts}))
 
 
+# A value over the basis with its expansion: the bracket constructors, [n]
+# and [n]! as qfact_ratio, and a unit times an integer.
+basis_value = st.one_of(
+    st.integers(-3, 3).filter(bool).map(
+        lambda j: (bracket_q(j), qbracket_q(j))),
+    st.integers(-3, 3).map(lambda j: (bracket_Aq(j), qbracket_Aq(j))),
+    st.integers(1, 5).map(lambda n: (qfact_ratio([n], [n - 1]), qint(n))),
+    st.integers(0, 4).map(lambda n: (qfact_ratio([n]), qfact(n))),
+    st.tuples(st.sampled_from([-3, -1, 2, 5]), st.integers(-2, 2),
+              st.integers(-2, 2)).map(lambda t: (
+                  RationalFn.from_poly(LaurentPoly.term(*t)),
+                  LaurentPoly.term(*t))))
+
+
+def unit_strategy():
+    """A unit times an integer times a signed basis vector: what inverse
+    and / accept."""
+    factor = st.tuples(basis_value, st.booleans()).map(
+        lambda t: t[0][0] if t[1] else t[0][0].inverse())
+    return st.lists(factor, min_size=1, max_size=3).map(
+        lambda fs: reduce(operator.mul, fs))
+
+
 def rational_strategy():
-    poly = poly_strategy()
-    dens = st.lists(st.sampled_from(
-        [qbracket_q(1), qbracket_q(2), qbracket_Aq(0), qbracket_Aq(1)]),
-        max_size=2)
+    """A polynomial times a unit-vector value, times expanded basis
+    polynomials through mul_poly, which cancel against the vector's
+    denominator."""
     return st.builds(
-        lambda n, ds: RationalFn.from_ratio(n, *ds), poly, dens)
+        lambda p, u, es: reduce(RationalFn.mul_poly, es, u.mul_poly(p)),
+        poly_strategy(), unit_strategy(),
+        st.lists(basis_value.map(lambda t: t[1]), max_size=2))
 
 
 class TestRationalFn:
     def test_cancellation(self):
-        f = RationalFn.from_ratio(qbracket_q(2), qbracket_q(1))
+        f = RationalFn.from_poly(qbracket_q(2)) / bracket_q(1)
         assert f.is_polynomial
         assert f.to_poly() == qint(2)
 
     def test_non_polynomial(self):
-        f = RationalFn.from_ratio(one, qbracket_q(1))
+        f = RationalFn.one() / bracket_q(1)
         with pytest.raises(NotPolynomial):
             f.to_poly()
 
-    @given(rational_strategy(), rational_strategy())
+    @given(rational_strategy(), rational_strategy(), unit_strategy())
     @settings(max_examples=40, deadline=None)
-    def test_field_ops(self, f, g):
+    def test_field_ops(self, f, g, u):
         assert f + g == g + f
         assert f * g == g * f
         assert f - f == RationalFn.zero()
-        if not g.is_zero:
-            assert (f / g) * g == f
+        assert (f / u) * u == f
 
-    @given(rational_strategy())
+    @given(unit_strategy())
     @settings(max_examples=40, deadline=None)
     def test_inverse(self, f):
-        if not f.is_zero:
-            assert f * f.inverse() == RationalFn.one()
+        assert f * f.inverse() == RationalFn.one()
+
+    @pytest.mark.parametrize("divisor", [
+        LaurentPoly({(1, 0): 1, (0, 1): -1}),  # A - q, outside the basis
+        LaurentPoly({(1, 1): 1, (0, 0): -1}),  # A q - 1, a piece of ("B", 1)
+        LaurentPoly({(0, 1): 1, (0, 0): 1}),   # q + 1, a piece of ("C", 1)
+        qbracket_q(1),                         # {q} expanded: use bracket_q(1)
+    ], ids=["A-q", "Aq-1", "q+1", "expanded-bracket"])
+    def test_div_poly_outside_basis_raises(self, divisor):
+        with pytest.raises(NotInBasis) as exc:
+            bigD(1).div_poly(divisor)
+        assert isinstance(exc.value, EngineError)
+
+    def test_inverse_of_sum_raises(self):
+        f = RationalFn.one() + RationalFn.from_poly(LaurentPoly.var_A())
+        with pytest.raises(NotInBasis):
+            f.inverse()
+        with pytest.raises(NotInBasis):
+            bigD(0) / f
 
     def test_substitute_plain(self):
-        f = RationalFn.from_ratio(qbracket_Aq(0), qbracket_q(1))
-        v = f.substitute("A", Monomial(1, 0, 2))
-        assert v == RationalFn.from_ratio(qbracket_q(2), qbracket_q(1))
+        # D_0 = {A}/{q} at A = q^2 is {q^2}/{q} = [2]
+        assert is_value(at(bigD(0), "A", Monomial(1, 0, 2)), qint(2))
 
     def test_substitute_removable_singularity(self):
-        # (A^2 - q^2)/(A - q) -> 2q at A = q after cancelling the kernel
-        f = RationalFn.from_ratio(
-            LaurentPoly({(2, 0): 1, (0, 2): -1}),
-            LaurentPoly({(1, 0): 1, (0, 1): -1}))
-        v = f.substitute("A", Monomial(1, 0, 1))
-        assert v == RationalFn.from_poly(LaurentPoly({(0, 1): 2}))
+        # (A q - 1) / {Aq} = A q / (A q + 1) -> 1/2 at A = 1/q, after
+        # cancelling the kernel A - 1/q of the basis factor A^2 q^2 - 1
+        f = RationalFn.from_poly(LaurentPoly({(1, 1): 1, (0, 0): -1})) \
+            / bracket_Aq(1)
+        assert not f.is_polynomial
+        num, den = at(f, "A", Monomial(1, 0, -1))
+        assert num.scale(2) == den
 
     def test_substitute_genuine_pole(self):
-        f = RationalFn.from_ratio(one, LaurentPoly({(1, 0): 1, (0, 1): -1}))
         with pytest.raises(DivisionByZero):
-            f.substitute("A", Monomial(1, 0, 1))
+            at(bracket_Aq(1).inverse(), "A", Monomial(1, 0, -1))
 
     def test_eq_cross_multiplication(self):
-        f = RationalFn.from_ratio(qint(2) * qbracket_q(1), qbracket_q(1))
+        f = RationalFn.from_poly(qint(2) * qbracket_q(1)) / bracket_q(1)
         assert f == RationalFn.from_poly(qint(2))
+        # the same value held as a basis vector equals its expansion
+        assert bracket_q(2) / bracket_q(1) == RationalFn.from_poly(qint(2))
 
-
-# Denominator factors: basis products ({q^j}, {Aq^j}, [n]), a factor outside
-# the basis (A - q) and irreducible pieces of basis factors (A q^j - 1 of
-# A^2 q^2j - 1, q + 1 of Phi_1(q^2) = q^2 - 1).
-den_factor = st.one_of(
-    st.integers(-3, 3).filter(bool).map(qbracket_q),
-    st.integers(-3, 3).map(qbracket_Aq),
-    st.integers(1, 5).map(qint),
-    st.just(LaurentPoly({(1, 0): 1, (0, 1): -1})),
-    st.integers(-2, 2).map(lambda j: LaurentPoly({(1, j): 1, (0, 0): -1})),
-    st.just(LaurentPoly({(0, 1): 1, (0, 0): 1})))
 
 basis_key = st.one_of(st.integers(-10, 10).map(lambda k: ("B", k)),
                       st.integers(1, 12).map(lambda d: ("C", d)))
 
 
 class TestFactoredCancellation:
-    @given(poly_strategy(4), st.lists(den_factor, max_size=5), st.booleans())
+    @given(poly_strategy(4), st.lists(basis_value, max_size=5), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_cancellation_is_complete(self, p, dens, factored):
         f = RationalFn.from_poly(p)
-        for d in dens:
-            # an inverted reciprocal holds d split over the basis
-            f = (f * RationalFn.one().div_poly(d).inverse() if factored
-                 else f.mul_poly(d))
-        for i, d in enumerate(dens):
-            # alternate div_poly with multiplication by an inverse
-            f = f.div_poly(d) if i % 2 else f / RationalFn.from_poly(d)
+        for v, e in dens:
+            # the factored value, or its expansion through mul_poly
+            f = f * v if factored else f.mul_poly(e)
+        for i, (v, e) in enumerate(dens):
+            # alternate / with div_poly where the divisor is a unit times
+            # an integer
+            f = f.div_poly(e) if i % 2 and len(e.terms) == 1 else f / v
         assert f.is_polynomial
         assert f.to_poly() == p
 
-    @given(rational_strategy(), rational_strategy(), poly_strategy(4))
+    @given(st.lists(basis_value, min_size=1, max_size=3), basis_value,
+           poly_strategy(4))
     @settings(max_examples=60, deadline=None)
-    def test_inverse_of_sum_round_trips(self, f, g, p):
-        s = f.mul_poly(p) + g
-        if s.is_zero:
-            return
+    def test_inverse_of_sum_round_trips(self, dens, v, p):
+        # t = 1 / prod(dens) has only denominator factors, and w e = t for
+        # the expansion e of v, so the sum of w p and w (e - p) collapses
+        # onto a unit over t's vector
+        t = reduce(operator.mul, (d for d, _ in dens)).inverse()
+        w = t / v[0]
+        s = w.mul_poly(p) + w.mul_poly(v[1] - p)
+        assert s == t
         inv = s.inverse()
         assert inv.inverse() == s
         prod = s * inv
@@ -236,19 +274,22 @@ class TestFactoredCancellation:
         assert _divides(key, p) == _basis_poly(key).divides(p)
 
     def test_piece_of_a_basis_factor_cancels(self):
+        # A q - 1 and A q + 1 are the pieces of the basis factor
+        # A^2 q^2 - 1: one alone leaves it in the denominator, both clear it
         piece = LaurentPoly({(1, 1): 1, (0, 0): -1})  # A q - 1
         aq_plus = LaurentPoly({(0, 0): 1, (-1, -1): 1})  # {Aq} / (A q - 1)
-        assert RationalFn.from_ratio(qbracket_Aq(1), piece).to_poly() == aq_plus
-        # the same with {Aq} held as the basis factor A^2 q^2 - 1
-        f = bigD(1).mul_poly(qbracket_q(1)).div_poly(piece)
-        assert f.to_poly() == aq_plus
-        g = RationalFn.from_ratio(piece, qbracket_Aq(1))
+        g = RationalFn.from_poly(piece) / bracket_Aq(1)
         assert not g.is_polynomial
-        assert (g * f).to_poly() == one
+        assert equals_ratio(g, piece, qbracket_Aq(1))
+        assert g.mul_poly(aq_plus).to_poly() == one
+        # the same with {Aq} held as the basis factor of D_1 {q}
+        f = RationalFn.from_poly(piece) / (bigD(1) * bracket_q(1))
+        assert f == g
+        assert f.mul_poly(aq_plus).to_poly() == one
 
     def test_qfact_ratio_matches_expanded(self):
-        assert qfact_ratio([5, 2], [3]) == RationalFn.from_ratio(
-            qfact(5) * qfact(2), qfact(3))
+        assert equals_ratio(qfact_ratio([5, 2], [3]),
+                            qfact(5) * qfact(2), qfact(3))
         assert qfact_ratio([4], [3]).to_poly() == qint(4)
         with pytest.raises(NegativeInput):
             qfact_ratio([-1])
