@@ -24,6 +24,15 @@ from .laurent import LaurentPoly
 
 CACHE_ENV_VAR = "PRETZELHOMFLY_CACHE_DIR"
 ENTRY_FIELDS = frozenset({"version", "poly", "checksum"})
+_READ_CHUNK = 1 << 16  # under the allocator's mmap threshold
+# the bytes json.dumps(obj, sort_keys=True) gives, without a new encoder
+# per call
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _checksum(poly_json) -> str:
+    """sha256 of an entry's "poly" field in canonical (sorted-key) JSON."""
+    return hashlib.sha256(_canonical_json(poly_json).encode()).hexdigest()
 
 
 def cache_key(params: Sequence[int], r: int,
@@ -61,20 +70,30 @@ class HomflyCache:
     def get(self, key: tuple) -> Optional[CacheEntry]:
         path = self._file(key)
         try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise CorruptStore(f"unreadable cache entry {path}: {exc}") from exc
+        try:
+            # one read for any entry under the chunk size, then the empty
+            # read that marks its end
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+            # a directory fails in read; a cut file or non-UTF-8 bytes in
+            # loads (ValueError covers JSONDecodeError and UnicodeDecodeError)
+            obj = json.loads(b"".join(chunks))
+        except (OSError, ValueError) as exc:
+            raise CorruptStore(f"unreadable cache entry {path}: {exc}") from exc
+        finally:
+            os.close(fd)
         if not (isinstance(obj, dict) and ENTRY_FIELDS <= obj.keys()):
             raise CorruptStore(f"malformed cache entry {path}: not an object "
                                f"with fields {sorted(ENTRY_FIELDS)}")
         if obj["version"] != key[2]:
             return None
-        body = json.dumps(obj["poly"], sort_keys=True)
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        if obj["checksum"] != digest:
+        if obj["checksum"] != _checksum(obj["poly"]):
             raise CorruptStore(f"checksum mismatch in {path}")
         try:
             poly = LaurentPoly.from_json(obj["poly"])
@@ -94,8 +113,7 @@ class HomflyCache:
             "key": {"params": list(key[0]), "r": key[1]},
             "version": key[2],
             "poly": body,
-            "checksum": hashlib.sha256(
-                json.dumps(body, sort_keys=True).encode()).hexdigest(),
+            "checksum": _checksum(body),
             "timestamp": time.time(),
         }
         try:
@@ -122,6 +140,10 @@ class HomflyCache:
     def clear(self) -> int:
         sharded = list(self.directory.glob("*/*.json"))
         paths = [*self.directory.glob("*.json"), *sharded]
+        # checked before any unlink, so a refused clear removes nothing
+        for path in paths:
+            if path.is_dir():
+                raise CorruptStore(f"{path} is a directory, not a cache entry")
         for path in paths:
             path.unlink()
         for shard in {path.parent for path in sharded}:

@@ -25,7 +25,7 @@ from .differences import (check_conjecture_main, check_conjecture_mono,  # noqa:
 from .errors import EngineError
 from .laurent import LaurentPoly
 from .pretzel import HomflyEngine, PretzelSpec
-from .report import FAILS, HOLDS
+from .report import FAILS
 from .symfunc import YoungDiagram, schur_hook, schur_jacobi_trudi
 
 EXIT_OK = 0
@@ -141,20 +141,22 @@ def _cmd_verify(args) -> int:
     eng = _engine(args)
     reports, statuses = [], []
 
-    def record(case: str, verdict):
-        reports.append({"case": case, **verdict.to_json()})
+    def record(case: str, verdict, payload=None):
+        reports.append({"case": case, **(payload or verdict.to_json())})
         statuses.append(verdict.status)
 
     if args.property == "theorem1":
         if args.depth:
             # (a, b, c) and (b, a, c) are one knot with one memo and store
-            # key, so their Q^1 is one polynomial: swapped cases share a check
-            verdicts = {}
+            # key, so their Q^1 is one polynomial: swapped cases share a
+            # check and its JSON
+            shared = {}
             for a, b, m, r in _theorem1_cases(args.depth):
                 key = (min(a, b), max(a, b), m, r)
-                if key not in verdicts:
-                    verdicts[key] = check_theorem_1(a, b, m, r, eng)
-                record(f"theorem1(a={a},b={b},m={m},r={r})", verdicts[key])
+                if key not in shared:
+                    verdict = check_theorem_1(a, b, m, r, eng)
+                    shared[key] = verdict, verdict.to_json()
+                record(f"theorem1(a={a},b={b},m={m},r={r})", *shared[key])
         else:
             a, b = args.params
             record(f"theorem1(a={a},b={b},m={args.m},r={args.rep})",

@@ -177,19 +177,48 @@ def _a_span(p: LaurentPoly) -> int:
 
 def check_theorem_1(a: int, b: int, m: int, r: int,
                     engine: Optional[HomflyEngine] = None) -> Verdict:
-    """(A-q)(A+q)(Aq-1)(Aq+1) | Q^1(2m-1, r), via both exact division and
-    vanishing at the four special points.
+    """(A-q)(A+q)(Aq-1)(Aq+1) | Q^1(2m-1, r), via both vanishing at the four
+    special points and exact division.
 
     This is the paper's literal form at every r.  It equals the r-dependent
     divisor (A-q)(A+q)(Aq^r-1)(Aq^r+1), which every s >= 1 term of the
     differential expansion carries, only at r = 1; for r >= 2 the literal
     form is refuted (Q^1 need not vanish at A = +-1/q).
     """
-    d = q_diff(1, a, b, 2 * m - 1, r, engine)
-    for label, mono in special_point_monomials():
-        value = d.substitute("A", mono)
-        if not value.is_zero:
-            return Verdict.fails(value, f"Q^1 does not vanish at {label}")
+    return four_point_verdict(q_diff(1, a, b, 2 * m - 1, r, engine))
+
+
+def four_point_verdict(d: LaurentPoly) -> Verdict:
+    """Theorem 1's verdict on one Q^1: fails at the first special point
+    (A = q, -q, 1/q, -1/q in that order) where d does not vanish, with d's
+    value there as witness; else the exact division by four_point_divisor()
+    decides.
+
+    The four values come from one pass over d's terms.  Split by the parity
+    of the A-exponent into E + O, with E and O keyed by the q-exponent
+    eq + ea they take at A = q, and E' + O' keyed by eq - ea:
+    p(+-q) = E +- O and p(+-1/q) = E' +- O'.  substitute runs only to build
+    the witness of a failing point.
+    """
+    even, odd, even_inv, odd_inv = {}, {}, {}, {}
+    for (ea, eq), c in d.terms.items():
+        if ea & 1:
+            odd[eq + ea] = odd.get(eq + ea, 0) + c
+            odd_inv[eq - ea] = odd_inv.get(eq - ea, 0) + c
+        else:
+            even[eq + ea] = even.get(eq + ea, 0) + c
+            even_inv[eq - ea] = even_inv.get(eq - ea, 0) + c
+    vanishes = []
+    for e, o in ((even, odd), (even_inv, odd_inv)):
+        plus, minus = dict(e), dict(e)
+        for k, c in o.items():
+            plus[k] = plus.get(k, 0) + c
+            minus[k] = minus.get(k, 0) - c
+        vanishes += [not any(plus.values()), not any(minus.values())]
+    for (label, mono), zero in zip(special_point_monomials(), vanishes):
+        if not zero:
+            return Verdict.fails(d.substitute("A", mono),
+                                 f"Q^1 does not vanish at {label}")
     if d.is_zero:
         return Verdict.holds("Q^1 is identically zero")
     try:

@@ -10,7 +10,7 @@ defect-zero expansion and aborts with the offending level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import (NonzeroDefect, NotDivisible, NotPalindromic, OddPower,
                      ZeroPolynomial)

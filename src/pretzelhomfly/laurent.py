@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import DivisionByZero, NotDivisible, ParseError, ZeroPolynomial
 
@@ -375,8 +375,16 @@ def _from_clean(terms: Dict[ExpPair, int]) -> LaurentPoly:
 
 # -- univariate helpers for exact division --------------------------------
 
-def _qpoly_of(p: LaurentPoly, degA: int) -> Dict[int, int]:
-    return {eq: c for (ea, eq), c in p.terms.items() if ea == degA}
+def _levels(p: LaurentPoly) -> Dict[int, Dict[int, int]]:
+    """p as A-degree -> {q-degree: coefficient}."""
+    out: Dict[int, Dict[int, int]] = {}
+    for (ea, eq), c in p.terms.items():
+        level = out.get(ea)
+        if level is None:
+            out[ea] = {eq: c}
+        else:
+            level[eq] = c
+    return out
 
 
 def _qdiv(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
@@ -407,24 +415,50 @@ def _qdiv(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
 
 
 def _exact_div_stripped(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Long division in A of unit-stripped polynomials; raises NotDivisible."""
-    d_min_a, d_max_a = d.degA_range()
-    dlead = _qpoly_of(d, d_max_a)
-    rem = p
+    """Long division in A of unit-stripped polynomials; raises NotDivisible
+    with the remainder left at the step that fails.
+
+    The remainder is kept as q-polynomials by A-degree, and each step
+    subtracts qc * d from the levels d reaches, so no step rescans or copies
+    the levels it does not touch.
+    """
+    d_levels = _levels(d)
+    d_min_a, d_max_a = min(d_levels), max(d_levels)
+    dlead = d_levels[d_max_a]
+    rem = _levels(p)
     quot_terms: Dict[ExpPair, int] = {}
-    while not rem.is_zero:
-        r_min_a, r_max_a = rem.degA_range()
-        if r_max_a - d_max_a < r_min_a - d_min_a:
-            raise NotDivisible(rem)
-        qc = _qdiv(_qpoly_of(rem, r_max_a), dlead)
-        if qc is None:
-            raise NotDivisible(rem)
+    while rem:
+        r_max_a = max(rem)
         shift_a = r_max_a - d_max_a
-        piece = LaurentPoly({(shift_a, eq): c for eq, c in qc.items()})
-        for (ea, eq), c in piece.terms.items():
-            quot_terms[(ea, eq)] = quot_terms.get((ea, eq), 0) + c
-        rem = rem - piece * d
-    return LaurentPoly(quot_terms)
+        # rem keeps no empty level, so min(rem) is its lowest A-degree
+        if shift_a < min(rem) - d_min_a:
+            raise NotDivisible(_from_levels(rem))
+        qc = _qdiv(rem[r_max_a], dlead)
+        if qc is None:
+            raise NotDivisible(_from_levels(rem))
+        for eq, c in qc.items():
+            quot_terms[(shift_a, eq)] = c
+        for da, dq_terms in d_levels.items():
+            ea = da + shift_a
+            level = rem.get(ea)
+            if level is None:
+                level = rem[ea] = {}
+            for sq, c in qc.items():
+                for dq, dc in dq_terms.items():
+                    k = sq + dq
+                    s = level.get(k, 0) - c * dc
+                    if s:
+                        level[k] = s
+                    elif k in level:
+                        del level[k]
+            if not level:
+                del rem[ea]
+    return _from_clean(quot_terms)
+
+
+def _from_levels(levels: Dict[int, Dict[int, int]]) -> LaurentPoly:
+    return _from_clean({(ea, eq): c for ea, level in levels.items()
+                        for eq, c in level.items()})
 
 
 # -- text parsing ----------------------------------------------------------

@@ -22,9 +22,10 @@ factor fails.
 Premise, enforced: every divisor is a unit times an integer times a basis
 vector.  ``div_poly`` takes only a unit times an integer (the Jacobi-Trudi
 route of ``symfunc`` puts its partition weights into ``den`` this way), and
-``inverse`` only a value whose cofactor is a unit times an integer.  Any
-other divisor (``A - q``, a piece ``A q - 1`` of a basis factor, an expanded
-sum) raises :class:`NotInBasis`.  The values the engine divides by meet it:
+``inverse`` only a value whose cofactor is a unit times an integer times
+basis factors, which it first folds into the vector.  Any other divisor
+(``A - q``, a piece ``A q - 1`` of a basis factor, ``1 + A``) raises
+:class:`NotInBasis`.  The values the engine divides by meet it:
 the brackets, D_j, G(n), chi and [a]!/[b]! below are built that way, and the
 first-row Racah entries s_0x, which are sums, reduce to it.
 
@@ -37,7 +38,7 @@ but the value is a polynomial exactly when its denominator is empty.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DivisionByZero, NegativeInput, NotInBasis,
@@ -201,6 +202,44 @@ def _split(p: LaurentPoly, role: str) -> Tuple[Monomial, int]:
     return unit, s.terms[(0, 0)]
 
 
+def _phi_at_most(h: int) -> List[int]:
+    """Every d >= 1 with Euler's phi(d) <= h, in increasing order: each
+    prime p <= h + 1 in turn extends the products of smaller primes by p^k
+    while phi stays within h."""
+    found = [(1, 1)]  # (d, phi(d))
+    for p in range(2, h + 2):
+        if any(p % f == 0 for f in range(2, isqrt(p) + 1)):
+            continue
+        more = []
+        for d, f in found:
+            pk, fk = p, f * (p - 1)
+            while fk <= h:
+                more.append((d * pk, fk))
+                pk, fk = pk * p, fk * p
+        found += more
+    return sorted(d for d, f in found if f <= h)
+
+
+def _fold_basis(cof: LaurentPoly, vec: Vec) -> Tuple[LaurentPoly, Vec]:
+    """cof with every basis factor it holds divided out, and vec with them
+    added.
+
+    Spans add in a product, so only a factor no wider than cof can divide
+    it: ("B", k) has A-span 2 and q-span 2|k|, ("C", d) q-span 2 phi(d)."""
+    lo_a, hi_a = cof.degA_range()
+    lo_q, hi_q = cof.degQ_range()
+    half = (hi_q - lo_q) // 2
+    keys: List[BasisKey] = [("C", d) for d in _phi_at_most(half)]
+    if hi_a - lo_a >= 2:
+        keys += [("B", k) for k in range(-half, half + 1)]
+    vec = dict(vec)
+    for key in keys:
+        while (quot := _basis_quotient(cof, key)) is not None:
+            cof = quot
+            vec[key] = vec.get(key, 0) + 1
+    return cof, {key: e for key, e in vec.items() if e}
+
+
 def _expand(vec: Vec) -> LaurentPoly:
     """prod basis(key)^e over the positive entries of vec."""
     out = LaurentPoly.one()
@@ -358,15 +397,19 @@ class RationalFn:
         return self + (-other)
 
     def inverse(self) -> "RationalFn":
-        """1 / self for a cofactor that is a unit times an integer; other
-        cofactors raise NotInBasis."""
+        """1 / self for a cofactor that is a unit times an integer times
+        basis factors, expanded or not; other cofactors raise NotInBasis."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        unit, content = _split(self.cof, "cofactor")
-        # reduced: self.den is coprime to content, and the new cofactor is
-        # a monomial, which no basis factor divides
+        cof, vec = self.cof, self.vec
+        if len(cof.terms) > 1:
+            cof, vec = _fold_basis(cof, vec)
+        unit, content = _split(cof, "cofactor")
+        # reduced: self.den is coprime to content (basis factors are
+        # primitive, so folding them out keeps the content), and the new
+        # cofactor is a monomial, which no basis factor divides
         return RationalFn(LaurentPoly.const(self.den).shift(unit.inverse()),
-                          {k: -e for k, e in self.vec.items()}, content)
+                          {k: -e for k, e in vec.items()}, content)
 
     def __truediv__(self, other: "RationalFn") -> "RationalFn":
         return self * other.inverse()

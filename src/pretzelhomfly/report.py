@@ -6,7 +6,7 @@ reporting) from not having computed enough representations to decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 HOLDS = "holds"

@@ -1,5 +1,5 @@
 """Reference arithmetic for tests: equality with a ratio of expanded
-polynomials, and values at a point.
+polynomials, values at a point, and plain long division.
 
 RationalFn divides only by a unit times a vector over its basis, so a
 reference value such as (A - q)(A + q) / ((A^2 - 1)(q^2 + 1)) cannot be
@@ -9,8 +9,8 @@ variable of the expanded numerator and denominator, cancelling the linear
 kernel var - value exactly wherever both vanish.
 """
 
-from pretzelhomfly.errors import DivisionByZero
-from pretzelhomfly.laurent import LaurentPoly, Monomial
+from pretzelhomfly.errors import DivisionByZero, NotDivisible
+from pretzelhomfly.laurent import LaurentPoly, Monomial, _qdiv
 
 
 def equals_ratio(f, num: LaurentPoly, *dens: LaurentPoly) -> bool:
@@ -53,3 +53,29 @@ def first_row_squares_at(matrix, radicands, mono: Monomial):
         except DivisionByZero:
             out.append(None)
     return out
+
+
+def long_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """p / d by textbook long division in A, rebuilding the whole remainder
+    rem - piece * d at each step; raises NotDivisible with that remainder.
+    p and d are unit-stripped, as LaurentPoly.exact_div passes them on."""
+    def level(f, degA):
+        return {eq: c for (ea, eq), c in f.terms.items() if ea == degA}
+
+    d_min_a, d_max_a = d.degA_range()
+    dlead = level(d, d_max_a)
+    rem = p
+    quot_terms = {}
+    while not rem.is_zero:
+        r_min_a, r_max_a = rem.degA_range()
+        if r_max_a - d_max_a < r_min_a - d_min_a:
+            raise NotDivisible(rem)
+        qc = _qdiv(level(rem, r_max_a), dlead)
+        if qc is None:
+            raise NotDivisible(rem)
+        piece = LaurentPoly({(r_max_a - d_max_a, eq): c
+                             for eq, c in qc.items()})
+        for exps, c in piece.terms.items():
+            quot_terms[exps] = quot_terms.get(exps, 0) + c
+        rem = rem - piece * d
+    return LaurentPoly(quot_terms)

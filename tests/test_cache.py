@@ -3,14 +3,13 @@
 import hashlib
 import io
 import json
-import os
 import time
 
 import pytest
 
 from pretzelhomfly import ENGINE_VERSION
-from pretzelhomfly.cache import (CACHE_ENV_VAR, HomflyCache, cache_key,
-                                 resolve_cache_dir)
+from pretzelhomfly.cache import (_READ_CHUNK, CACHE_ENV_VAR, HomflyCache,
+                                 cache_key, resolve_cache_dir)
 from pretzelhomfly.errors import CorruptStore
 from pretzelhomfly.laurent import LaurentPoly
 from pretzelhomfly.pretzel import HomflyEngine, PretzelSpec
@@ -79,6 +78,40 @@ class TestStore:
         with pytest.raises(CorruptStore):
             cache.get(key)
 
+    def test_directory_at_entry_path_is_corrupt(self, cache, tmp_path):
+        key = cache_key((1, 1, 1), 1)
+        cache.put(key, SAMPLE)
+        (path,) = tmp_path.glob("*.json")
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(CorruptStore):
+            cache.get(key)
+        with pytest.raises(CorruptStore):
+            cache.clear()
+        assert path.is_dir()
+
+    @pytest.mark.parametrize("cut", [lambda data: data[:len(data) // 2],
+                                     lambda data: b"",
+                                     lambda data: b"\xff" + data[1:]],
+                             ids=["half", "empty", "not-utf8"])
+    def test_truncated_or_undecodable_entry_is_corrupt(self, cache, tmp_path,
+                                                      cut):
+        key = cache_key((1, 1, 1), 1)
+        cache.put(key, SAMPLE)
+        (path,) = tmp_path.glob("*.json")
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(CorruptStore):
+            cache.get(key)
+
+    def test_reads_entry_larger_than_one_read(self, cache, tmp_path):
+        big = LaurentPoly({(i, j): 10 ** 30 + i * j
+                           for i in range(40) for j in range(80)})
+        key = cache_key((1, 1, 1), 1)
+        cache.put(key, big)
+        (path,) = tmp_path.glob("*.json")
+        assert path.stat().st_size > 2 * _READ_CHUNK
+        assert cache.get(key).poly == big
+
     def test_no_temp_files_left(self, cache, tmp_path):
         cache.put(cache_key((1, 1, 1), 1), SAMPLE)
         assert not list(tmp_path.glob("**/*.tmp"))
@@ -120,6 +153,20 @@ class TestLayout:
         json.dump(obj, fh)
         (path,) = tmp_path.glob("*.json")
         assert path.read_text(encoding="utf-8") == fh.getvalue()
+
+    def test_reads_entry_as_json_dump_writes_it(self, cache):
+        # an entry written by json.dump, as every earlier put wrote it
+        key = cache_key((3, 1, -3), 2)
+        body = SAMPLE.to_json()
+        obj = {"key": {"params": [-3, 1, 3], "r": 2},
+               "version": ENGINE_VERSION,
+               "poly": body,
+               "checksum": hashlib.sha256(
+                   json.dumps(body, sort_keys=True).encode()).hexdigest(),
+               "timestamp": 1760848136.6789012}
+        with open(cache._path(key), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        assert cache.get(key).poly == SAMPLE
 
 
 class TestEngineIntegration:

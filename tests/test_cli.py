@@ -265,6 +265,39 @@ class TestCacheVerb:
         assert out == ""
         assert json.loads(err)["error"] == "CorruptStore"
 
+    @pytest.mark.parametrize("damage", ["directory", "half-truncated"])
+    def test_unreadable_entry_exits_3(self, capsys, tmp_path, damage):
+        d = str(tmp_path)
+        argv = ("verify", "theorem1", "--params", "1,1", "--m", "1",
+                "--rep", "1", "--cache-dir", d)
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        path, other = sorted(tmp_path.glob("*.json"))
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert json.loads(err)["error"] == "CorruptStore"
+        # listing skips it; clear refuses a directory, and removes nothing
+        code, out, _ = run(capsys, "cache", "ls", "--cache-dir", d,
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["entries"]) == 1
+        code, out, err = run(capsys, "cache", "clear", "--cache-dir", d,
+                             "--format", "json")
+        if damage == "directory":
+            assert code == EXIT_ERROR
+            assert json.loads(err)["error"] == "CorruptStore"
+            assert path.is_dir() and other.is_file()
+        else:
+            assert code == EXIT_OK
+            assert json.loads(out)["cleared"] == 2
+
     def test_no_dir_is_usage_error(self, capsys, monkeypatch):
         from pretzelhomfly.cache import CACHE_ENV_VAR
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)

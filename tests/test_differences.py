@@ -7,18 +7,20 @@ is a property of the mathematics, not of this implementation.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pretzelhomfly.differences import (check_conjecture_main,
                                        check_conjecture_mono, check_theorem_1,
-                                       factor_X, four_point_divisor, q_diff,
+                                       factor_X, four_point_divisor,
+                                       four_point_verdict, q_diff,
                                        q_diff_window, special_point_monomials)
-from pretzelhomfly.errors import ZeroPolynomial
+from pretzelhomfly.errors import NotDivisible, ZeroPolynomial
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.pretzel import HomflyEngine, PretzelSpec
 from pretzelhomfly.qcore import qbracket_Aq, qbracket_q
-from pretzelhomfly.report import FAILS, HOLDS, INSUFFICIENT
+from pretzelhomfly.report import FAILS, HOLDS, INSUFFICIENT, Verdict
 
-from ratref import at
+from ratref import at, long_div
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,83 @@ class TestTheorem1:
         d.exact_div((A - q) * (A + q))  # raises if not exact
         for label, mono in special_point_monomials()[:2]:
             assert d.substitute("A", mono).is_zero
+
+
+def reference_four_point_verdict(d):
+    """Theorem 1's verdict the plain way: substitute at each point in
+    order, then long division."""
+    for label, mono in special_point_monomials():
+        value = d.substitute("A", mono)
+        if not value.is_zero:
+            return Verdict.fails(value, f"Q^1 does not vanish at {label}")
+    if d.is_zero:
+        return Verdict.holds("Q^1 is identically zero")
+    try:
+        long_div(d.strip_monomial()[1],
+                 four_point_divisor().strip_monomial()[1])
+    except NotDivisible as exc:
+        return Verdict.fails(exc.remainder,
+                             "four-point product does not divide Q^1")
+    return Verdict.holds("divides exactly and vanishes at all four points")
+
+
+def _point_factors():
+    A, q = LaurentPoly.var_A(), LaurentPoly.var_q()
+    one = LaurentPoly.one()
+    return [A - q, A + q, A * q - one, A * q + one]
+
+
+@st.composite
+def q1_like(draw):
+    """A random polynomial times a random subset of the four linear factors,
+    so that it vanishes at none, some or all of the special points; or 0."""
+    terms = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                    st.integers(-9, 9).filter(bool)),
+                          max_size=5))
+    p = LaurentPoly({(a, b): c for a, b, c in terms})
+    for factor, used in zip(_point_factors(),
+                            draw(st.lists(st.booleans(), min_size=4,
+                                          max_size=4))):
+        if used:
+            p = p * factor
+    return p
+
+
+class TestFourPointVerdict:
+    @given(q1_like())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, d):
+        v = four_point_verdict(d)
+        ref = reference_four_point_verdict(d)
+        assert (v.status, v.witness, v.detail) == (
+            ref.status, ref.witness, ref.detail)
+        assert v.to_json() == ref.to_json()
+
+    @pytest.mark.parametrize("used", range(16))
+    def test_each_subset_of_points(self, used):
+        # x = 1 + A^2 q vanishes at none of the four points; each subset of
+        # the linear factors fails at the first point it leaves out
+        x = LaurentPoly({(0, 0): 1, (2, 1): 1})
+        factors = [f for i, f in enumerate(_point_factors()) if used >> i & 1]
+        d = x
+        for f in factors:
+            d = d * f
+        v = four_point_verdict(d)
+        assert v == reference_four_point_verdict(d)
+        assert v.ok == (used == 15)
+
+    def test_zero_and_divisor_multiple(self):
+        assert four_point_verdict(LaurentPoly.zero()).detail == \
+            "Q^1 is identically zero"
+        v = four_point_verdict(four_point_divisor().shift(Monomial(-1, 3, -2)))
+        assert v.ok and v.detail.startswith("divides exactly")
+
+    @pytest.mark.parametrize("a,b,m,r", [(1, 1, 1, 1), (1, 1, 1, 2),
+                                         (-3, 3, 2, 2), (1, -3, 0, 1)])
+    def test_engine_q1_matches_reference(self, engine, a, b, m, r):
+        d = q_diff(1, a, b, 2 * m - 1, r, engine)
+        assert check_theorem_1(a, b, m, r, engine) == \
+            reference_four_point_verdict(d)
 
 
 def first_difference_vanishes(params, r, engine):

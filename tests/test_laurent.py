@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from pretzelhomfly.errors import DivisionByZero, NotDivisible
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 
+from ratref import long_div
+
 A = LaurentPoly.var_A()
 q = LaurentPoly.var_q()
 one = LaurentPoly.one()
@@ -95,6 +97,47 @@ class TestExactDivision:
     def test_known_quotient(self):
         p = A * A - q * q
         assert p.exact_div(A - q) == A + q
+
+
+def _quotient_or_remainder(div, p, d):
+    try:
+        return "quotient", div(p, d)
+    except NotDivisible as exc:
+        return "remainder", exc.remainder
+
+
+class TestDivisionMatchesLongDivision:
+    """exact_div against the textbook long division in tests/ratref.py: the
+    same quotient, or the same NotDivisible remainder (which conj-935,
+    conj-946 and InexactDivision print)."""
+
+    @given(nonzero_poly(), nonzero_poly(), poly_strategy(max_terms=2))
+    @settings(max_examples=200, deadline=None)
+    def test_same_quotient_or_remainder(self, a, d, noise):
+        # a * d + noise: divisible when noise is 0 or a multiple of d,
+        # otherwise it fails at some step with a nontrivial remainder
+        for p in (a * d, a * d + noise, a):
+            if p.is_zero:
+                continue
+            pu, ps = p.strip_monomial()
+            du, ds = d.strip_monomial()
+            kind, ref = _quotient_or_remainder(long_div, ps, ds)
+            if kind == "quotient":
+                assert p.exact_div(d) == ref.shift(pu * du.inverse())
+            else:
+                with pytest.raises(NotDivisible) as exc:
+                    p.exact_div(d)
+                assert exc.value.remainder == ref
+
+    def test_remainder_at_failing_step(self):
+        # A^3 + 2 over A - q: three steps succeed and leave q^3 + 2
+        p = A ** 3 + LaurentPoly.const(2)
+        with pytest.raises(NotDivisible) as exc:
+            p.exact_div(A - q)
+        with pytest.raises(NotDivisible) as ref:
+            long_div(p, A - q)
+        assert exc.value.remainder == ref.value.remainder == \
+            q ** 3 + LaurentPoly.const(2)
 
 
 class TestSubstitutionHomomorphism:

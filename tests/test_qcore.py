@@ -10,10 +10,10 @@ from pretzelhomfly.errors import (DivisionByZero, EngineError, NegativeInput,
                                   NotInBasis, NotPolynomial, OutOfRange)
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.qcore import (RationalFn, _basis_poly, _basis_quotient,
-                                 _divides, bigD, bigG, bracket_Aq, bracket_q,
-                                 chi_rows, chi_two_row, delta, qbinom,
-                                 qbracket_Aq, qbracket_q, qfact, qfact_ratio,
-                                 qint)
+                                 _divides, _phi_at_most, bigD, bigG,
+                                 bracket_Aq, bracket_q, chi_rows, chi_two_row,
+                                 delta, qbinom, qbracket_Aq, qbracket_q, qfact,
+                                 qfact_ratio, qint)
 
 from ratref import at, equals_ratio, is_value
 
@@ -200,6 +200,50 @@ class TestRationalFn:
             f.inverse()
         with pytest.raises(NotInBasis):
             bigD(0) / f
+
+    def test_inverse_folds_expanded_basis_factors(self):
+        # {q} and [3] = q^-2 Phi_3(q^2) held expanded in the cofactor
+        assert RationalFn.from_poly(qbracket_q(1)).inverse() == \
+            bracket_q(1).inverse()
+        assert RationalFn.from_poly(qint(3)).inverse() == \
+            qfact_ratio([2], [3])
+        unit = LaurentPoly.term(-3, 1, 2)
+        expanded = qbracket_Aq(-2) * qbracket_q(6) * unit
+        assert RationalFn.from_poly(expanded).inverse() == \
+            (bracket_Aq(-2) * bracket_q(6)).inverse().div_poly(unit)
+
+    def test_fold_candidates(self):
+        # every d with phi(d) <= 4: ("C", d) up to a q-span of 8
+        assert _phi_at_most(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+        assert _phi_at_most(0) == []
+
+    def test_inverse_of_sum_reaching_basis_value(self):
+        # q - q^-1 = {q} as a sum of two monomials keeps q^2 - 1 expanded
+        s = (RationalFn.from_poly(LaurentPoly.var_q())
+             - RationalFn.from_poly(LaurentPoly.var_q(-1)))
+        inv = s.inverse()
+        assert equals_ratio(inv, LaurentPoly.var_q(),
+                            LaurentPoly({(0, 2): 1, (0, 0): -1}))
+        assert inv == bracket_q(1).inverse()
+        prod = s * inv
+        assert prod.is_polynomial and prod.to_poly() == one
+
+    def test_inverse_outside_basis_still_raises(self):
+        with pytest.raises(NotInBasis):
+            RationalFn.from_poly(LaurentPoly({(1, 0): 1, (0, 1): -1})).inverse()
+        # a piece A q - 1 of ("B", 1) next to a whole ("B", 1) is left over
+        with pytest.raises(NotInBasis):
+            RationalFn.from_poly(LaurentPoly({(1, 1): 1, (0, 0): -1})
+                                 * qbracket_Aq(1)).inverse()
+
+    @given(unit_strategy(), st.lists(basis_value, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_of_expanded_product(self, u, vals):
+        f = reduce(RationalFn.mul_poly, (e for _, e in vals), u)
+        inv = f.inverse()
+        assert inv == reduce(operator.mul, (v for v, _ in vals), u).inverse()
+        prod = f * inv
+        assert prod.is_polynomial and prod.to_poly() == one
 
     def test_substitute_plain(self):
         # D_0 = {A}/{q} at A = q^2 is {q^2}/{q} = [2]
