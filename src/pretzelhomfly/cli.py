@@ -62,16 +62,16 @@ def _verdict_exit(statuses: List[str]) -> int:
 
 def _cmd_homfly(args) -> int:
     eng = _engine(args)
-    result = eng.homfly(PretzelSpec(args.params, args.rep))
+    poly = eng.homfly(PretzelSpec(args.params, args.rep))
     payload = {"params": list(args.params), "rep": args.rep,
-               "poly": result.poly.to_text()}
+               "poly": poly.to_text()}
     _emit(payload, args.format, lambda o: o["poly"])
     return EXIT_OK
 
 
 def _cmd_alexander(args) -> int:
     eng = _engine(args)
-    h1 = eng.homfly(PretzelSpec(args.params, 1)).poly
+    h1 = eng.homfly(PretzelSpec(args.params, 1))
     al = alexander(h1)
     _emit({"params": list(args.params), "alexander": al.to_text()},
           args.format, lambda o: o["alexander"])
@@ -84,7 +84,7 @@ def _cmd_defect(args) -> int:
         al = AlexanderPoly(LaurentPoly.from_text(args.alexander))
     elif args.params:
         eng = _engine(args)
-        al = alexander(eng.homfly(PretzelSpec(args.params, 1)).poly)
+        al = alexander(eng.homfly(PretzelSpec(args.params, 1)))
     else:
         print("defect: need --params or --alexander", file=sys.stderr)
         return EXIT_USAGE
@@ -96,7 +96,7 @@ def _cmd_defect(args) -> int:
 
 def _cmd_ffactors(args) -> int:
     eng = _engine(args)
-    hs = [eng.homfly(PretzelSpec(args.params, r)).poly
+    hs = [eng.homfly(PretzelSpec(args.params, r))
           for r in range(1, args.max_r + 1)]
     knot = ",".join(str(p) for p in args.params)
     fe = extract_F(hs, knot)
@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
         params = args.params if len(args.params) == 3 else (
             (3, 3, 3) if args.property == "conj-935" else (3, 3, -3))
         max_r = args.depth or 3
-        hs = [eng.homfly(PretzelSpec(params, r)).poly
+        hs = [eng.homfly(PretzelSpec(params, r))
               for r in range(1, max_r + 1)]
         fe = extract_F(hs, ",".join(str(p) for p in params))
         if args.property == "conj-935":

@@ -48,7 +48,8 @@ class NotPolynomial(EngineError):
 
 
 class NoCanonicalUnit(EngineError):
-    """No monomial unit makes the polynomial satisfy the framing conventions."""
+    """A polynomial is not in the canonical framing: 1 at A=q, with an A=1
+    slice palindromic under q -> 1/q."""
 
 
 class RepCapExceeded(EngineError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import DivisionByZero, NotDivisible, ParseError, ZeroPolynomial
 
@@ -106,13 +106,6 @@ class LaurentPoly:
         ((ea, eq), c), = self.terms.items()
         if c in (1, -1):
             return Monomial(c, ea, eq)
-        return None
-
-    def as_int(self) -> Optional[int]:
-        if self.is_zero:
-            return 0
-        if len(self.terms) == 1 and (0, 0) in self.terms:
-            return self.terms[(0, 0)]
         return None
 
     def degA_range(self) -> Tuple[int, int]:
@@ -356,9 +349,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.to_text()!r})"
-
-    def __iter__(self) -> Iterator[Tuple[ExpPair, int]]:
-        return iter(self.terms.items())
 
 
 _ZERO = LaurentPoly()

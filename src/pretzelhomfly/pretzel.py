@@ -5,6 +5,11 @@ row 0 of S-bar T-bar^n S per parameter n.  Each row entry is
 rho_x sqrt(chi_x) and S_0x = s_0x sqrt(chi_x) (see racah), so the g+1 row
 roots over the g-1 roots of S_0x^(g-1) leave chi_x, and the summand is the
 rational prod_i rho_{i,x} chi_x / s_0x^(g-1) at every genus.
+
+T-bar carries the topological framing, so the polynomial of a knot is already
+canonical: 1 at A=q, with an A=1 slice palindromic under q -> 1/q.
+canonicalize_framing checks that for every value the engine assembles, reads
+from the store or derives in a family; nothing is shifted by a unit.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cache import HomflyCache, cache_key
-from .errors import (CorruptStore, EngineError, NoCanonicalUnit, RepCapExceeded,
-                     ZeroPolynomial)
+from .errors import CorruptStore, EngineError, NoCanonicalUnit, RepCapExceeded
 from .laurent import LaurentPoly, Monomial
 from .qcore import RationalFn, chi_rows, chi_two_row
 from .racah import build_S, build_Sbar, build_Tbar, twist_row
@@ -50,48 +54,23 @@ class PretzelSpec:
         return "(" + ",".join(str(p) for p in self.params) + f") r={self.rep}"
 
 
-@dataclass
-class HomflyResult:
-    poly: LaurentPoly
-    spec: PretzelSpec
-    framing_unit: Optional[Monomial]  # None when served from the persistent store
-
-
-def canonicalize_framing(p: LaurentPoly) -> Tuple[Monomial, LaurentPoly]:
-    """Fix the overall monomial unit of a raw invariant.
+def canonicalize_framing(p: LaurentPoly) -> LaurentPoly:
+    """Check that a value is in the canonical framing and return it unchanged.
 
     The canonical representative evaluates to 1 at A=q (the N=1
-    specialization collapses every knot invariant), sums its coefficients to
-    1 at A=q=1, and has an A=1 slice palindromic under q -> 1/q.  Those three
-    facts pin the sign, the q-exponent (palindrome center) and the A-exponent
-    (via the A=q slice) of the unit uniquely.
+    specialization collapses every knot invariant) and has an A=1 slice
+    palindromic under q -> 1/q; its coefficients then sum to 1 at A=q=1.
+    T-bar carries the topological framing, so the assembly meets both
+    without a shift.  Any other value, zero included, raises NoCanonicalUnit.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot canonicalize zero")
     at_aq = p.substitute("A", Monomial(1, 0, 1))
-    unit_aq = at_aq.as_monomial()
-    if unit_aq is None:
-        raise NoCanonicalUnit(
-            f"A=q slice is not a unit monomial: {at_aq.to_text()}")
-    at_a1 = p.substitute("A", Monomial(1, 0, 0))
-    if at_a1.is_zero:
-        raise NoCanonicalUnit("A=1 slice vanishes")
-    total = sum(at_a1.terms.values())
-    if total not in (1, -1):
-        raise NoCanonicalUnit(f"coefficient sum at A=1 is {total}, not a sign")
-    if total != unit_aq.sign:
-        raise NoCanonicalUnit("A=q and A=1 slices disagree on the overall sign")
-    lo, hi = at_a1.degQ_range()
-    if (lo + hi) % 2:
-        raise NoCanonicalUnit("A=1 slice has no integral palindrome center")
-    beta = (lo + hi) // 2
-    unit = Monomial(total, unit_aq.expQ - beta, beta)
-    canon = p.shift(unit.inverse())
-    slice_a1 = canon.substitute("A", Monomial(1, 0, 0))
+    if not at_aq.is_one:
+        raise NoCanonicalUnit(f"A=q slice is {at_aq.to_text()}, not 1")
+    slice_a1 = p.substitute("A", Monomial(1, 0, 0))
     if any(slice_a1.terms.get((0, -e), 0) != c
            for (_, e), c in slice_a1.terms.items()):
         raise NoCanonicalUnit("A=1 slice is not palindromic under q -> 1/q")
-    return unit, canon
+    return p
 
 
 class HomflyEngine:
@@ -109,7 +88,7 @@ class HomflyEngine:
         self._rows: Dict[Tuple[int, int], List[RationalFn]] = {}
         self._weights: Dict[Tuple[int, int], List[RationalFn]] = {}
         self._chi: Dict[int, RationalFn] = {}
-        self._memo: Dict[tuple, HomflyResult] = {}
+        self._memo: Dict[tuple, LaurentPoly] = {}
 
     # -- shared building blocks -------------------------------------------
 
@@ -150,82 +129,79 @@ class HomflyEngine:
         if not spec.all_odd:
             raise ValueError(f"pretzel parameters must all be odd: {spec.params}")
 
-    def homfly(self, spec: PretzelSpec) -> HomflyResult:
+    def homfly(self, spec: PretzelSpec) -> LaurentPoly:
         self._check_knot(spec)
-        r = spec.rep
-        key = cache_key(spec.params, r)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return HomflyResult(hit.poly, spec, hit.framing_unit)
+        key = cache_key(spec.params, spec.rep)
+        poly = self._memo.get(key)
+        if poly is not None:
+            return poly
         if self.cache is not None:
             entry = self.cache.get(key)
             if entry is not None:
-                result = self._memo[key] = HomflyResult(entry.poly, spec, None)
-                return result
-        poly, unit = self._compute(spec)
-        result = self._memo[key] = HomflyResult(poly, spec, unit)
+                try:
+                    poly = self._memo[key] = canonicalize_framing(entry.poly)
+                except NoCanonicalUnit as exc:
+                    raise CorruptStore(
+                        f"stored value of {spec.label()}: {exc}") from exc
+                return poly
+        return self._keep(
+            key, canonicalize_framing(self.homfly_rational(spec).to_poly()))
+
+    def _keep(self, key: tuple, poly: LaurentPoly) -> LaurentPoly:
+        """Memoise a checked value and write it to the store."""
+        self._memo[key] = poly
         if self.cache is not None:
             self.cache.put(key, poly)
-        return result
+        return poly
 
     def family(self, prefix: Sequence[int], c_values: Sequence[int],
                r: int) -> List[LaurentPoly]:
-        """Canonical polynomials of the knots prefix + (c,), c in c_values.
+        """Polynomials of the knots prefix + (c,), c in c_values.
 
         c_values steps by 2.  The last parameter enters the assembled sum
-        only through T-bar^c, so the raw (pre-framing) members obey a linear
-        recurrence of order r+1 whose characteristic roots are the diagonal
-        entries mu_k = A^2k q^2k(k-1) of T-bar^2.  The r+1 consecutive
-        members nearest c = 0, the cheapest to assemble, are seeds and come
-        through homfly().  Every other member takes monomial-coefficient
-        steps forward or backward from them, then is framed, memoised and
-        stored as homfly() would.  A window of at most r+1 members is all
-        seeds, so no knot outside the window is ever assembled.
+        only through T-bar^c, and T-bar carries the topological framing, so
+        the members themselves obey a linear recurrence of order r+1 whose
+        characteristic roots are the diagonal entries mu_k = A^2k q^2k(k-1)
+        of T-bar^2.  The r+1 consecutive members nearest c = 0, the
+        cheapest to assemble, are seeds and come through homfly(): from the
+        memo, the store or assembly.  Every other member takes
+        monomial-coefficient steps forward or backward from them, then is
+        checked, memoised and stored as homfly() would.  A window of at most
+        r+1 members is all seeds, so no knot outside the window is ever
+        assembled.
         """
         specs = [PretzelSpec(tuple(prefix) + (c,), r) for c in c_values]
         if any(d - c != 2 for c, d in zip(c_values, c_values[1:])):
             raise ValueError(f"family members must step by 2: {list(c_values)}")
         order = r + 1
         if len(specs) <= order:
-            return [self.homfly(spec).poly for spec in specs]
+            return [self.homfly(spec) for spec in specs]
         # members share the prefix, r and the parity of c: one check covers all
         self._check_knot(specs[0])
         start = min(range(len(specs) - order + 1),
                     key=lambda s: sum(abs(c) for c in c_values[s:s + order]))
-        canon: List[Optional[LaurentPoly]] = [None] * len(specs)
-        raw: List[Optional[LaurentPoly]] = [None] * len(specs)
+        members: List[Optional[LaurentPoly]] = [None] * len(specs)
         for i in range(start, start + order):
-            seed = self.homfly(specs[i])
-            canon[i] = seed.poly
-            if seed.framing_unit is not None:
-                raw[i] = seed.poly.shift(seed.framing_unit)
-                continue
-            # served from the store: the raw value needs the unit, so assemble
-            raw[i] = self.homfly_rational(specs[i]).to_poly()
-            if canonicalize_framing(raw[i])[1] != seed.poly:
-                raise CorruptStore(
-                    f"stored value of {specs[i].label()} disagrees with assembly")
+            members[i] = self.homfly(specs[i])
         coeffs = _char_poly(build_Tbar(r, 2))
         inv_const = coeffs[0].as_monomial().inverse()
         forward = range(start + order, len(specs))
         backward = range(start - 1, -1, -1)
         for i in [*forward, *backward]:
             if i > start:
-                raw[i] = -_dot(coeffs[:order], raw[i - order:i])
+                member = -_dot(coeffs[:order], members[i - order:i])
             else:
-                raw[i] = (-_dot(coeffs[1:], raw[i + 1:i + order + 1])
+                member = (-_dot(coeffs[1:], members[i + 1:i + order + 1])
                           ).shift(inv_const)
-            unit, canon[i] = canonicalize_framing(raw[i])
+            members[i] = canonicalize_framing(member)
             key = cache_key(specs[i].params, r)
-            if key in self._memo:
-                continue
-            self._memo[key] = HomflyResult(canon[i], specs[i], unit)
-            if self.cache is not None:
-                self.cache.put(key, canon[i])
-        return canon
+            if key not in self._memo:
+                self._keep(key, members[i])
+        return members
 
     def homfly_rational(self, spec: PretzelSpec) -> RationalFn:
-        """The assembled invariant before polynomial conversion or framing.
+        """The assembled invariant before polynomial conversion and the
+        framing check.
 
         For an even number of all-odd parameters the diagram closes to a
         two-component link and the denominator does not clear; this is the
@@ -241,11 +217,6 @@ class HomflyEngine:
                 term = term * row[x]
             total = total + term * weight
         return self.chi_single_row(r) * total
-
-    def _compute(self, spec: PretzelSpec) -> Tuple[LaurentPoly, Monomial]:
-        poly = self.homfly_rational(spec).to_poly()
-        unit, canon = canonicalize_framing(poly)
-        return canon, unit
 
 
 def _check_rep(r: int):
@@ -276,7 +247,7 @@ def _dot(coeffs: Sequence[LaurentPoly],
 _default_engine = HomflyEngine()
 
 
-def homfly(spec: PretzelSpec, engine: Optional[HomflyEngine] = None) -> HomflyResult:
+def homfly(spec: PretzelSpec, engine: Optional[HomflyEngine] = None) -> LaurentPoly:
     """Normalized [r]-colored HOMFLY polynomial of the pretzel knot."""
     return (engine or _default_engine).homfly(spec)
 
@@ -292,6 +263,6 @@ def permutation_check(params: Sequence[int], r: int,
     # bypass the sorted cache key: evaluate each ordering end to end
     polys = set()
     for perm in permutations(params):
-        poly, _ = eng._compute(PretzelSpec(perm, r))
-        polys.add(poly.key())
+        poly = eng.homfly_rational(PretzelSpec(perm, r)).to_poly()
+        polys.add(canonicalize_framing(poly).key())
     return len(polys) == 1

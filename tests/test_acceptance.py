@@ -44,7 +44,7 @@ def engine():
 
 @pytest.fixture(scope="module")
 def family_946(engine):
-    hs = [engine.homfly(PretzelSpec((3, 3, -3), r)).poly for r in (1, 2, 3)]
+    hs = [engine.homfly(PretzelSpec((3, 3, -3), r)) for r in (1, 2, 3)]
     return extract_F(hs, "9_46")
 
 
@@ -62,7 +62,7 @@ def test_criterion_1_alexander_goldens(engine):
     ok, times = True, []
     for params, want in expected.items():
         start = time.monotonic()
-        got = alexander(engine.homfly(PretzelSpec(params, 1)).poly).poly
+        got = alexander(engine.homfly(PretzelSpec(params, 1))).poly
         elapsed = time.monotonic() - start
         times.append(elapsed)
         ok = ok and got == want and elapsed < 5.0
@@ -73,7 +73,7 @@ def test_criterion_1_alexander_goldens(engine):
 def test_criterion_2_defect_goldens(engine):
     start = time.monotonic()
     ok = all(
-        defect(alexander(engine.homfly(PretzelSpec(p, 1)).poly)) == 0
+        defect(alexander(engine.homfly(PretzelSpec(p, 1)))) == 0
         for p in ((3, 3, 3), (3, 3, -3)))
     nine_one = AlexanderPoly(LaurentPoly.from_text(
         "q^8 - q^6 + q^4 - q^2 + 1 - q^-2 + q^-4 - q^-6 + q^-8"))
@@ -85,7 +85,7 @@ def test_criterion_2_defect_goldens(engine):
 
 def test_criterion_3_f_factor_goldens(engine, family_946):
     start = time.monotonic()
-    hs_935 = [engine.homfly(PretzelSpec((3, 3, 3), r)).poly for r in (1, 2, 3)]
+    hs_935 = [engine.homfly(PretzelSpec((3, 3, 3), r)) for r in (1, 2, 3)]
     fe_935 = extract_F(hs_935, "9_35")
     f1_935 = LaurentPoly({(6, 0): 1, (4, 0): 3, (2, 0): 2, (0, 0): 1}).shift(
         Monomial(-1, 2, 0))
@@ -217,7 +217,7 @@ def test_criterion_7_structural_suites(engine, family_946):
     # (d) expansion round-trip
     for r in (1, 2, 3):
         ok = ok and (reconstruct_H(family_946, r)
-                     == engine.homfly(PretzelSpec((3, 3, -3), r)).poly)
+                     == engine.homfly(PretzelSpec((3, 3, -3), r)))
     notes.append("expansion round-trip")
 
     # (e) persistent-store coherence

@@ -11,7 +11,7 @@ from pretzelhomfly import ENGINE_VERSION
 from pretzelhomfly.cache import (_READ_CHUNK, CACHE_ENV_VAR, HomflyCache,
                                  cache_key, resolve_cache_dir)
 from pretzelhomfly.errors import CorruptStore
-from pretzelhomfly.laurent import LaurentPoly
+from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.pretzel import HomflyEngine, PretzelSpec
 
 
@@ -170,21 +170,30 @@ class TestLayout:
 
 
 class TestEngineIntegration:
-    def test_cache_hit_skips_recompute(self, tmp_path):
+    def test_cache_hit_skips_recompute(self, tmp_path, monkeypatch):
         eng1 = HomflyEngine(cache=HomflyCache(tmp_path))
         first = eng1.homfly(PretzelSpec((1, 1, 3), 1))
-        assert first.framing_unit is not None
         eng2 = HomflyEngine(cache=HomflyCache(tmp_path))
-        hit = eng2.homfly(PretzelSpec((1, 1, 3), 1))
-        assert hit.poly == first.poly
-        assert hit.framing_unit is None  # served from the store
+        calls = []
+        monkeypatch.setattr(HomflyEngine, "homfly_rational",
+                            lambda self, spec: calls.append(spec))
+        assert eng2.homfly(PretzelSpec((1, 1, 3), 1)) == first
+        assert calls == []  # a warm engine assembles nothing
+
+    def test_shifted_entry_is_corrupt(self, tmp_path):
+        # checksummed and well formed, but off the canonical framing
+        spec = PretzelSpec((1, 1, 3), 1)
+        shifted = HomflyEngine().homfly(spec).shift(Monomial(-1, 2, -3))
+        HomflyCache(tmp_path).put(cache_key(spec.params, 1), shifted)
+        with pytest.raises(CorruptStore):
+            HomflyEngine(cache=HomflyCache(tmp_path)).homfly(spec)
 
     def test_cached_equals_uncached(self, tmp_path):
         cached = HomflyEngine(cache=HomflyCache(tmp_path))
         plain = HomflyEngine()
         for params, r in [((1, 1, 1), 1), ((1, 1, 3), 1), ((1, 1, 1), 2)]:
-            a = cached.homfly(PretzelSpec(params, r)).poly
-            b = plain.homfly(PretzelSpec(params, r)).poly
+            a = cached.homfly(PretzelSpec(params, r))
+            b = plain.homfly(PretzelSpec(params, r))
             assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
     def test_permutations_share_entry(self, tmp_path):

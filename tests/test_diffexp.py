@@ -21,20 +21,20 @@ def engine():
 
 @pytest.fixture(scope="module")
 def family_935(engine):
-    hs = [engine.homfly(PretzelSpec((3, 3, 3), r)).poly for r in (1, 2, 3)]
+    hs = [engine.homfly(PretzelSpec((3, 3, 3), r)) for r in (1, 2, 3)]
     return extract_F(hs, "9_35")
 
 
 @pytest.fixture(scope="module")
 def family_946(engine):
-    hs = [engine.homfly(PretzelSpec((3, 3, -3), r)).poly for r in (1, 2, 3)]
+    hs = [engine.homfly(PretzelSpec((3, 3, -3), r)) for r in (1, 2, 3)]
     return extract_F(hs, "9_46")
 
 
 @pytest.fixture(scope="module")
 def families_r5(engine):
     """H_[1..5] of 9_35 and 9_46."""
-    return {params: [engine.homfly(PretzelSpec(params, r)).poly
+    return {params: [engine.homfly(PretzelSpec(params, r))
                      for r in range(1, 6)]
             for params in ((3, 3, 3), (3, 3, -3))}
 
@@ -44,13 +44,13 @@ NINE_ONE_ALEXANDER = ("q^8 - q^6 + q^4 - q^2 + 1 - q^-2 + q^-4 - q^-6 + q^-8")
 
 class TestAlexanderAndDefect:
     def test_alexander_slice(self, engine):
-        h1 = engine.homfly(PretzelSpec((3, 3, 3), 1)).poly
+        h1 = engine.homfly(PretzelSpec((3, 3, 3), 1))
         assert alexander(h1).poly == LaurentPoly(
             {(0, 2): 7, (0, 0): -13, (0, -2): 7})
 
     def test_defect_zero_examples(self, engine):
         for params in ((3, 3, 3), (3, 3, -3)):
-            h1 = engine.homfly(PretzelSpec(params, 1)).poly
+            h1 = engine.homfly(PretzelSpec(params, 1))
             assert defect(alexander(h1)) == 0
 
     def test_defect_three_from_text(self):
@@ -93,7 +93,7 @@ class TestFExtraction:
         assert family_946.factor(3) == f3
 
     def test_trefoil_closed_form(self, engine):
-        hs = [engine.homfly(PretzelSpec((1, 1, 1), r)).poly for r in (1, 2, 3)]
+        hs = [engine.homfly(PretzelSpec((1, 1, 1), r)) for r in (1, 2, 3)]
         fe = extract_F(hs, "trefoil")
         for s in (1, 2, 3):
             assert fe.factor(s) == LaurentPoly(
@@ -102,7 +102,7 @@ class TestFExtraction:
     def test_round_trip(self, family_946, engine):
         for r in (1, 2, 3):
             assert (reconstruct_H(family_946, r)
-                    == engine.homfly(PretzelSpec((3, 3, -3), r)).poly)
+                    == engine.homfly(PretzelSpec((3, 3, -3), r)))
 
     def test_nonzero_defect_rejected(self, engine):
         # 9_1 is not reachable here, but a synthetic defect-1 slice is
@@ -111,8 +111,8 @@ class TestFExtraction:
             extract_F([h])
 
     def test_inexact_division_aborts_with_level(self, engine):
-        h1 = engine.homfly(PretzelSpec((1, 1, 1), 1)).poly
-        h2 = engine.homfly(PretzelSpec((1, 1, 1), 2)).poly
+        h1 = engine.homfly(PretzelSpec((1, 1, 1), 1))
+        h2 = engine.homfly(PretzelSpec((1, 1, 1), 2))
         corrupt = h2 + LaurentPoly({(2, 2): 1})
         with pytest.raises(InexactDivision) as err:
             extract_F([h1, corrupt])

@@ -154,7 +154,7 @@ class TestSubstitutionHomomorphism:
 def _substitute_reference(p, var, m):
     """Term by term: c A^ea q^eq with var replaced by a power of m."""
     out = LaurentPoly.zero()
-    for (ea, eq), c in p:
+    for (ea, eq), c in p.terms.items():
         if var == "A":
             out = out + LaurentPoly.term(c, 0, eq) * m.as_poly() ** ea
         else:

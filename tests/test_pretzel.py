@@ -1,8 +1,10 @@
 """Pretzel HOMFLY engine: golden values, framing, independent identities."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
-from pretzelhomfly.errors import NoCanonicalUnit, RepCapExceeded, ZeroPolynomial
+from pretzelhomfly.errors import CorruptStore, NoCanonicalUnit, RepCapExceeded
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.pretzel import (REP_CAP, HomflyEngine, PretzelSpec,
                                    canonicalize_framing, homfly,
@@ -15,7 +17,7 @@ def engine():
 
 
 def H(engine, params, r):
-    return engine.homfly(PretzelSpec(params, r)).poly
+    return engine.homfly(PretzelSpec(params, r))
 
 
 class TestSpec:
@@ -102,26 +104,53 @@ class TestIndependentIdentities:
 
 
 class TestCanonicalFraming:
-    def test_recovers_constructed_unit(self, engine):
+    def test_rejects_shifted_canonical(self, engine):
         p = H(engine, (1, 1, 1), 1)
-        shifted = p.shift(Monomial(-1, 2, -3))
-        unit, canon = canonicalize_framing(shifted)
-        assert canon == p
-        assert unit == Monomial(-1, 2, -3)
+        with pytest.raises(NoCanonicalUnit):
+            canonicalize_framing(p.shift(Monomial(-1, 2, -3)))
+
+    def test_rejects_unpalindromic(self, engine):
+        # A/q keeps the A=q slice at 1 but moves the A=1 slice off centre
+        p = H(engine, (1, 1, 1), 1).shift(Monomial(1, 1, -1))
+        assert p.substitute("A", Monomial(1, 0, 1)).is_one
+        with pytest.raises(NoCanonicalUnit):
+            canonicalize_framing(p)
 
     def test_identity_on_canonical(self, engine):
         p = H(engine, (3, 3, -3), 1)
-        unit, canon = canonicalize_framing(p)
-        assert unit == Monomial(1, 0, 0)
-        assert canon == p
+        assert canonicalize_framing(p) is p
 
     def test_rejects_zero(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(NoCanonicalUnit):
             canonicalize_framing(LaurentPoly.zero())
 
     def test_rejects_non_invariant(self):
         with pytest.raises(NoCanonicalUnit):
             canonicalize_framing(LaurentPoly.var_A() + LaurentPoly.one())
+
+    def test_engine_checks_assembly(self, monkeypatch):
+        from pretzelhomfly.qcore import RationalFn
+        assemble = HomflyEngine.homfly_rational
+
+        def shifted(self, spec):
+            raw = assemble(self, spec).to_poly()
+            return RationalFn.from_poly(raw.shift(Monomial(1, 1, -1)))
+
+        monkeypatch.setattr(HomflyEngine, "homfly_rational", shifted)
+        with pytest.raises(NoCanonicalUnit):
+            HomflyEngine().homfly(PretzelSpec((1, 1, 3), 1))
+
+    # T-bar carries the topological framing, so assembly needs no shift
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_assembly_is_canonical_genus2(self, engine, r):
+        for params in combinations_with_replacement(range(-5, 6, 2), 3):
+            raw = engine.homfly_rational(PretzelSpec(params, r)).to_poly()
+            assert canonicalize_framing(raw) is raw, params
+
+    def test_assembly_is_canonical_genus4(self, engine):
+        for params in combinations_with_replacement((-3, -1, 1, 3), 5):
+            raw = engine.homfly_rational(PretzelSpec(params, 1)).to_poly()
+            assert canonicalize_framing(raw) is raw, params
 
 
 class TestPermutationInvariance:
@@ -143,13 +172,13 @@ class TestDeterminismAndMemo:
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
     def test_module_level_entry_point(self):
-        res = homfly(PretzelSpec((1, 1, 1), 1))
-        assert res.poly == LaurentPoly({(4, 0): -1, (2, 2): 1, (2, -2): 1})
+        assert homfly(PretzelSpec((1, 1, 1), 1)) == LaurentPoly(
+            {(4, 0): -1, (2, 2): 1, (2, -2): 1})
 
     def test_memo_returns_same_poly(self, engine):
         r1 = engine.homfly(PretzelSpec((1, 1, 3), 1))
         r2 = engine.homfly(PretzelSpec((3, 1, 1), 1))  # sorted to same key
-        assert r1.poly == r2.poly
+        assert r1 == r2
 
 
 class TestRationalForm:
@@ -163,8 +192,7 @@ class TestRationalForm:
     def test_knot_rational_matches_poly(self, engine):
         rf = engine.homfly_rational(PretzelSpec((1, 1, 1), 1))
         assert rf.is_polynomial
-        unit, canon = canonicalize_framing(rf.to_poly())
-        assert canon == H(engine, (1, 1, 1), 1)
+        assert rf.to_poly() == H(engine, (1, 1, 1), 1)
 
 
 class TestFamily:
@@ -172,8 +200,7 @@ class TestFamily:
 
     @staticmethod
     def direct(engine, params, r):
-        return canonicalize_framing(
-            engine.homfly_rational(PretzelSpec(params, r)).to_poly())
+        return engine.homfly_rational(PretzelSpec(params, r)).to_poly()
 
     # c = -5..3: the seeds sit at -1..1 (r = 1) or -3..1 (r = 2), so the
     # window needs both backward and forward steps
@@ -184,19 +211,28 @@ class TestFamily:
         cs = range(-5, 4, 2)
         polys = engine.family((a, b), cs, r)
         for c, poly in zip(cs, polys):
-            unit, canon = self.direct(engine, (a, b, c), r)
-            assert poly == canon, (a, b, c, r)
-            # members are memoised with their framing unit
-            assert engine.homfly(PretzelSpec((a, b, c), r)).framing_unit == unit
+            direct = self.direct(engine, (a, b, c), r)
+            assert poly == direct, (a, b, c, r)
+            # the memoised member is the directly assembled value
+            assert engine.homfly(PretzelSpec((a, b, c), r)) == direct
 
     def test_r3_order3_window(self, engine):
         from pretzelhomfly.differences import q_diff_window
         cs = range(-7, 6, 2)
         diffs = q_diff_window(3, (1, 1), cs[:4], 3, engine)
-        members = [self.direct(engine, (1, 1, c), 3)[1] for c in cs]
+        members = [self.direct(engine, (1, 1, c), 3) for c in cs]
         for j, d in enumerate(diffs):
             m = members[j:j + 4]
             assert d == m[3] - m[2].scale(3) + m[1].scale(3) - m[0]
+
+    def test_recurrence_members_are_checked(self, monkeypatch):
+        # roots times q^2: the derived members leave the canonical framing
+        from pretzelhomfly import pretzel
+        roots = pretzel.build_Tbar
+        monkeypatch.setattr(pretzel, "build_Tbar", lambda r, n: [
+            Monomial(m.sign, m.expA, m.expQ + 2) for m in roots(r, n)])
+        with pytest.raises(NoCanonicalUnit):
+            HomflyEngine().family((1, 3), range(-5, 6, 2), 1)
 
     def test_small_window_is_homfly(self, engine):
         assert engine.family((1, 3), [1, 3], 1) == [
@@ -211,11 +247,11 @@ class TestFamily:
         with pytest.raises(RepCapExceeded):
             engine.family((1, 1), [1, 3], REP_CAP + 1)
 
-    def test_stored_seed_checked_against_assembly(self, tmp_path):
+    def test_shifted_stored_seed_is_corrupt(self, tmp_path):
         from pretzelhomfly.cache import HomflyCache, cache_key
-        from pretzelhomfly.errors import CorruptStore
         cache = HomflyCache(tmp_path)
-        # a well-formed entry with the wrong value for the seed (1,3,-1)
-        cache.put(cache_key((1, 3, -1), 1), H(HomflyEngine(), (1, 1, 1), 1))
+        # a checksummed entry for the seed (1,3,-1) off the canonical framing
+        shifted = H(HomflyEngine(), (1, 3, -1), 1).shift(Monomial(-1, 2, -3))
+        cache.put(cache_key((1, 3, -1), 1), shifted)
         with pytest.raises(CorruptStore):
             HomflyEngine(cache=cache).family((1, 3), range(-3, 4, 2), 1)

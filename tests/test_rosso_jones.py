@@ -21,9 +21,9 @@ def engine():
 @pytest.mark.parametrize("n", (3, 5, 7))
 def test_torus_knot_matches_pretzel(engine, n, r):
     expect = torus_2n(-n, r)
-    assert engine.homfly(PretzelSpec((1,) * n, r)).poly == expect
+    assert engine.homfly(PretzelSpec((1,) * n, r)) == expect
 
 
 def test_mirror_differs(engine):
     # the oracle is not symmetric in n, so the sign convention is tested
-    assert torus_2n(3, 2) != engine.homfly(PretzelSpec((1, 1, 1), 2)).poly
+    assert torus_2n(3, 2) != engine.homfly(PretzelSpec((1, 1, 1), 2))
