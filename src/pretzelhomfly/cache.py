@@ -14,7 +14,6 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -45,12 +44,6 @@ def cache_key(params: Sequence[int], r: int,
     return (params, int(r), version)
 
 
-@dataclass
-class CacheEntry:
-    key: tuple
-    poly: LaurentPoly
-
-
 class HomflyCache:
     """File-backed polynomial store keyed by canonical knot spec."""
 
@@ -67,7 +60,10 @@ class HomflyCache:
     def _path(self, key: tuple) -> Path:
         return Path(self._file(key))
 
-    def get(self, key: tuple) -> Optional[CacheEntry]:
+    def get(self, key: tuple) -> Optional[LaurentPoly]:
+        """The checked polynomial stored under key, or None if the store
+        holds none for this key and version; an entry that fails a check
+        raises CorruptStore."""
         path = self._file(key)
         try:
             fd = os.open(path, os.O_RDONLY)
@@ -104,7 +100,7 @@ class HomflyCache:
         terms = obj["poly"]["terms"]
         if not isinstance(terms, list) or len(terms) != len(poly.terms):
             raise CorruptStore(f"zero or repeated terms in {path}")
-        return CacheEntry(key=key, poly=poly)
+        return poly
 
     def put(self, key: tuple, poly: LaurentPoly):
         path = self._file(key)

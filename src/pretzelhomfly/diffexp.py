@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .errors import (NonzeroDefect, NotDivisible, NotPalindromic, OddPower,
-                     ZeroPolynomial)
+from .errors import (InexactDivision, NonzeroDefect, NotDivisible,
+                     NotPalindromic, NotPolynomial, OddPower, ZeroPolynomial)
 from .laurent import LaurentPoly, Monomial
-from .qcore import qbinom, qbracket_Aq
+from .qcore import RationalFn, bracket_Aq, qfact_ratio
 from .report import Verdict
 
 
@@ -68,15 +68,29 @@ def defect(al: AlexanderPoly) -> int:
     return p // 2 - 1
 
 
-def _bracket_product(r: int, s: int) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for j in range(s):
-        out = out * qbracket_Aq(r + j) * qbracket_Aq(j - 1)
+def _z_row(r: int) -> List[RationalFn]:
+    """Z_{r,1..r}, each built once over qcore's basis:
+    Z_{r,s} = prod_{j<s} {Aq^(r+j)}{Aq^(j-1)}."""
+    out = []
+    z = RationalFn.one()
+    for j in range(r):
+        z = z * bracket_Aq(r + j) * bracket_Aq(j - 1)
+        out.append(z)
     return out
 
 
+def _binom_q(r: int, s: int) -> LaurentPoly:
+    """The Gaussian binomial [r s]_q = [r]! / ([s]! [r-s]!)."""
+    return qfact_ratio([r], [s, r - s]).to_poly()
+
+
 def extract_F(hs: Sequence[LaurentPoly], knot: str = "") -> FExpansion:
-    """Recover F_1..F_R from the family H_[1]..H_[R] by triangular solve."""
+    """Recover F_1..F_R from the family H_[1]..H_[R] by triangular solve.
+
+    Level r divides by Z_{r,r} over the basis, where the division is exact
+    or leaves a denominator; a denominator raises InexactDivision with that
+    level, whose remainder is the right-hand side that did not divide (no
+    output prints it)."""
     if not hs:
         raise ValueError("need at least H_[1]")
     d = defect(alexander(hs[0]))
@@ -85,14 +99,14 @@ def extract_F(hs: Sequence[LaurentPoly], knot: str = "") -> FExpansion:
     factors: List[LaurentPoly] = []
     one = LaurentPoly.one()
     for r in range(1, len(hs) + 1):
+        zs = _z_row(r)
         rhs = hs[r - 1] - one
         for s in range(1, r):
-            rhs = rhs - qbinom(r, s) * factors[s - 1] * _bracket_product(r, s)
+            rhs = rhs - _binom_q(r, s) * factors[s - 1] * zs[s - 1].to_poly()
         try:
-            factors.append(rhs.exact_div(_bracket_product(r, r)))
-        except NotDivisible as exc:
-            from .errors import InexactDivision
-            raise InexactDivision(r, exc.remainder) from exc
+            factors.append((RationalFn.from_poly(rhs) / zs[r - 1]).to_poly())
+        except NotPolynomial as exc:
+            raise InexactDivision(r, rhs) from exc
     return FExpansion(knot=knot, maxR=len(hs), F=factors, defect=0)
 
 
@@ -101,8 +115,8 @@ def reconstruct_H(fe: FExpansion, r: int) -> LaurentPoly:
     if r > fe.maxR:
         raise IndexError(f"r={r} exceeds maxR={fe.maxR}")
     out = LaurentPoly.one()
-    for s in range(1, r + 1):
-        out = out + qbinom(r, s) * fe.F[s - 1] * _bracket_product(r, s)
+    for s, z in enumerate(_z_row(r), 1):
+        out = out + _binom_q(r, s) * fe.F[s - 1] * z.to_poly()
     return out
 
 

@@ -26,14 +26,10 @@ class NegativeInput(EngineError):
 
 
 class OutOfRange(EngineError):
-    pass
+    """An index or size outside the range a construction is defined on."""
 
 
 class DiagramTooLarge(EngineError):
-    pass
-
-
-class IndexOutOfRange(EngineError):
     pass
 
 

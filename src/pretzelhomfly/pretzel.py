@@ -136,10 +136,10 @@ class HomflyEngine:
         if poly is not None:
             return poly
         if self.cache is not None:
-            entry = self.cache.get(key)
-            if entry is not None:
+            stored = self.cache.get(key)
+            if stored is not None:
                 try:
-                    poly = self._memo[key] = canonicalize_framing(entry.poly)
+                    poly = self._memo[key] = canonicalize_framing(stored)
                 except NoCanonicalUnit as exc:
                     raise CorruptStore(
                         f"stored value of {spec.label()}: {exc}") from exc
@@ -166,9 +166,10 @@ class HomflyEngine:
         cheapest to assemble, are seeds and come through homfly(): from the
         memo, the store or assembly.  Every other member takes
         monomial-coefficient steps forward or backward from them, then is
-        checked, memoised and stored as homfly() would.  A window of at most
-        r+1 members is all seeds, so no knot outside the window is ever
-        assembled.
+        checked and memoised; a member the store lacks is written, and one
+        it holds must equal the derived value, else CorruptStore.  A window
+        of at most r+1 members is all seeds, so no knot outside the window
+        is ever assembled.
         """
         specs = [PretzelSpec(tuple(prefix) + (c,), r) for c in c_values]
         if any(d - c != 2 for c, d in zip(c_values, c_values[1:])):
@@ -195,8 +196,16 @@ class HomflyEngine:
                           ).shift(inv_const)
             members[i] = canonicalize_framing(member)
             key = cache_key(specs[i].params, r)
-            if key not in self._memo:
+            if key in self._memo:
+                continue
+            stored = self.cache.get(key) if self.cache is not None else None
+            if stored is None:
                 self._keep(key, members[i])
+            elif stored != members[i]:
+                raise CorruptStore(f"stored value of {specs[i].label()} "
+                                   "differs from its family recurrence")
+            else:
+                self._memo[key] = stored
         return members
 
     def homfly_rational(self, spec: PretzelSpec) -> RationalFn:

@@ -49,40 +49,6 @@ BasisKey = Tuple[str, int]
 Vec = Dict[BasisKey, int]
 
 
-def qbracket_q(j: int) -> LaurentPoly:
-    """{q^j} = q^j - q^-j, expanded."""
-    return LaurentPoly.var_q(j) - LaurentPoly.var_q(-j)
-
-
-def qbracket_Aq(j: int) -> LaurentPoly:
-    """{Aq^j} = A q^j - A^-1 q^-j, expanded."""
-    return LaurentPoly.term(1, 1, j) - LaurentPoly.term(1, -1, -j)
-
-
-def qint(n: int) -> LaurentPoly:
-    """Quantum integer [n] = q^(n-1) + q^(n-3) + ... + q^(1-n); [0] = 0."""
-    if n < 0:
-        raise NegativeInput(f"qint({n})")
-    return LaurentPoly({(0, n - 1 - 2 * i): 1 for i in range(n)})
-
-
-def qfact(n: int) -> LaurentPoly:
-    """Quantum factorial [n]! = [1][2]...[n]; [0]! = 1."""
-    if n < 0:
-        raise NegativeInput(f"qfact({n})")
-    out = LaurentPoly.one()
-    for i in range(1, n + 1):
-        out = out * qint(i)
-    return out
-
-
-def qbinom(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial [n]! / ([k]! [n-k]!), always a Laurent polynomial."""
-    if k < 0 or k > n:
-        raise OutOfRange(f"qbinom({n},{k})")
-    return qfact(n).exact_div(qfact(k) * qfact(n - k))
-
-
 # -- the basis -------------------------------------------------------------
 
 # Fixed tables, filled on first use of each entry: Phi_d coefficients

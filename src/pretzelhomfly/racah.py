@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .errors import IndexOutOfRange
+from .errors import OutOfRange
 from .laurent import LaurentPoly, Monomial
 from .qcore import RationalFn, bigD, bigG, chi_two_row, delta, qfact_ratio
 
@@ -28,7 +28,7 @@ Matrix = List[List[RationalFn]]
 
 def _check_size(r: int):
     if r < 1:
-        raise IndexOutOfRange("representation size must be >= 1")
+        raise OutOfRange("representation size must be >= 1")
 
 
 def _j_range(r: int, k: int, m: int) -> range:
@@ -38,9 +38,9 @@ def _j_range(r: int, k: int, m: int) -> range:
 def sigma(k: int, m: int, j: int, r: int) -> RationalFn:
     """The sign/factorial weight sigma_km(j) without its sqrt([2k+1][2m+1])."""
     if not (0 <= k <= r and 0 <= m <= r):
-        raise IndexOutOfRange(f"sigma indices k={k}, m={m} outside 0..{r}")
+        raise OutOfRange(f"sigma indices k={k}, m={m} outside 0..{r}")
     if j not in _j_range(r, k, m):
-        raise IndexOutOfRange(f"sigma summation index j={j} out of range")
+        raise OutOfRange(f"sigma summation index j={j} out of range")
     sign = -1 if (r + k + m + j) % 2 else 1
     num = [k, k, m, m, r - k, r - m, j + 1]
     den = [r + k + 1, r + m + 1, 2 * r - j]

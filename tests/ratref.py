@@ -1,5 +1,10 @@
-"""Reference arithmetic for tests: equality with a ratio of expanded
-polynomials, values at a point, and plain long division.
+"""Reference arithmetic for tests: the expanded quantum numbers, equality
+with a ratio of expanded polynomials, values at a point, and plain long
+division.
+
+The engine holds quantum numbers only as values over qcore's basis; the
+expanded brackets {q^j} and {Aq^j}, [n], [n]! and the Gaussian binomial
+below are built term by term, independently of that basis, to check it.
 
 RationalFn divides only by a unit times a vector over its basis, so a
 reference value such as (A - q)(A + q) / ((A^2 - 1)(q^2 + 1)) cannot be
@@ -9,8 +14,43 @@ variable of the expanded numerator and denominator, cancelling the linear
 kernel var - value exactly wherever both vanish.
 """
 
-from pretzelhomfly.errors import DivisionByZero, NotDivisible
+from pretzelhomfly.errors import (DivisionByZero, NegativeInput, NotDivisible,
+                                  OutOfRange)
 from pretzelhomfly.laurent import LaurentPoly, Monomial, _qdiv
+
+
+def qbracket_q(j: int) -> LaurentPoly:
+    """{q^j} = q^j - q^-j, expanded."""
+    return LaurentPoly.var_q(j) - LaurentPoly.var_q(-j)
+
+
+def qbracket_Aq(j: int) -> LaurentPoly:
+    """{Aq^j} = A q^j - A^-1 q^-j, expanded."""
+    return LaurentPoly.term(1, 1, j) - LaurentPoly.term(1, -1, -j)
+
+
+def qint(n: int) -> LaurentPoly:
+    """Quantum integer [n] = q^(n-1) + q^(n-3) + ... + q^(1-n); [0] = 0."""
+    if n < 0:
+        raise NegativeInput(f"qint({n})")
+    return LaurentPoly({(0, n - 1 - 2 * i): 1 for i in range(n)})
+
+
+def qfact(n: int) -> LaurentPoly:
+    """Quantum factorial [n]! = [1][2]...[n]; [0]! = 1."""
+    if n < 0:
+        raise NegativeInput(f"qfact({n})")
+    out = LaurentPoly.one()
+    for i in range(1, n + 1):
+        out = out * qint(i)
+    return out
+
+
+def qbinom(n: int, k: int) -> LaurentPoly:
+    """Gaussian binomial [n]! / ([k]! [n-k]!), always a Laurent polynomial."""
+    if k < 0 or k > n:
+        raise OutOfRange(f"qbinom({n},{k})")
+    return qfact(n).exact_div(qfact(k) * qfact(n - k))
 
 
 def equals_ratio(f, num: LaurentPoly, *dens: LaurentPoly) -> bool:

@@ -42,9 +42,7 @@ class TestStore:
     def test_put_get_round_trip(self, cache, tmp_path):
         key = cache_key((1, 1, 1), 1)
         cache.put(key, SAMPLE)
-        entry = cache.get(key)
-        assert entry is not None
-        assert entry.poly == SAMPLE
+        assert cache.get(key) == SAMPLE
         (path,) = tmp_path.glob("*.json")
         assert set(json.loads(path.read_text())) == {
             "key", "version", "poly", "checksum", "timestamp"}
@@ -57,7 +55,7 @@ class TestStore:
         obj = json.loads(path.read_text())
         obj["duration"] = 0.5
         path.write_text(json.dumps(obj))
-        assert cache.get(key).poly == SAMPLE
+        assert cache.get(key) == SAMPLE
 
     def test_stale_version_misses(self, cache, tmp_path):
         key = cache_key((1, 1, 1), 1)
@@ -110,7 +108,7 @@ class TestStore:
         cache.put(key, big)
         (path,) = tmp_path.glob("*.json")
         assert path.stat().st_size > 2 * _READ_CHUNK
-        assert cache.get(key).poly == big
+        assert cache.get(key) == big
 
     def test_no_temp_files_left(self, cache, tmp_path):
         cache.put(cache_key((1, 1, 1), 1), SAMPLE)
@@ -120,7 +118,7 @@ class TestStore:
         key = cache_key((1, 1, 1), 1)
         cache.put(key, SAMPLE)
         cache.put(key, SAMPLE)
-        assert cache.get(key).poly == SAMPLE
+        assert cache.get(key) == SAMPLE
 
     def test_entries_and_clear(self, cache):
         cache.put(cache_key((1, 1, 1), 1), SAMPLE)
@@ -166,7 +164,7 @@ class TestLayout:
                "timestamp": 1760848136.6789012}
         with open(cache._path(key), "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
-        assert cache.get(key).poly == SAMPLE
+        assert cache.get(key) == SAMPLE
 
 
 class TestEngineIntegration:

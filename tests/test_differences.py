@@ -17,10 +17,9 @@ from pretzelhomfly.differences import (check_conjecture_main,
 from pretzelhomfly.errors import NotDivisible, ZeroPolynomial
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.pretzel import HomflyEngine, PretzelSpec
-from pretzelhomfly.qcore import qbracket_Aq, qbracket_q
 from pretzelhomfly.report import FAILS, HOLDS, INSUFFICIENT, Verdict
 
-from ratref import at, long_div
+from ratref import at, long_div, qbracket_Aq, qbracket_q
 
 
 @pytest.fixture(scope="module")

@@ -99,6 +99,13 @@ class TestFExtraction:
             assert fe.factor(s) == LaurentPoly(
                 {(2 * s, s * (s - 1)): (-1) ** s})
 
+    def test_figure_eight_closed_form(self, engine):
+        # (1,1,-3) is the figure-eight knot 4_1, whose F-factors are all 1
+        hs = [engine.homfly(PretzelSpec((1, 1, -3), r)) for r in range(1, 5)]
+        fe = extract_F(hs, "4_1")
+        for s in range(1, 5):
+            assert fe.factor(s) == LaurentPoly.one()
+
     def test_round_trip(self, family_946, engine):
         for r in (1, 2, 3):
             assert (reconstruct_H(family_946, r)

@@ -255,3 +255,26 @@ class TestFamily:
         cache.put(cache_key((1, 3, -1), 1), shifted)
         with pytest.raises(CorruptStore):
             HomflyEngine(cache=cache).family((1, 3), range(-3, 4, 2), 1)
+
+    def test_warm_family_pass_writes_nothing(self, tmp_path, monkeypatch):
+        from pretzelhomfly.cache import HomflyCache
+        cs = range(-5, 6, 2)
+        cold = HomflyEngine(cache=HomflyCache(tmp_path)).family((1, 3), cs, 1)
+        assert len(list(tmp_path.glob("*.json"))) == len(cs)
+        puts = []
+        monkeypatch.setattr(HomflyCache, "put",
+                            lambda self, key, poly: puts.append(key))
+        warm = HomflyEngine(cache=HomflyCache(tmp_path)).family((1, 3), cs, 1)
+        assert warm == cold
+        assert puts == []
+
+    def test_doctored_stored_member_is_corrupt(self, tmp_path):
+        from pretzelhomfly.cache import HomflyCache, cache_key
+        cache = HomflyCache(tmp_path)
+        cs = range(-5, 6, 2)
+        members = HomflyEngine(cache=cache).family((1, 3), cs, 1)
+        # (1,3,-5) is a recurrence member (the seeds are c = -1, 1); store
+        # the canonical value of (1,3,5) under its key
+        cache.put(cache_key((1, 3, -5), 1), members[-1])
+        with pytest.raises(CorruptStore):
+            HomflyEngine(cache=cache).family((1, 3), cs, 1)

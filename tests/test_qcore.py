@@ -6,57 +6,74 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pretzelhomfly.diffexp import _binom_q
 from pretzelhomfly.errors import (DivisionByZero, EngineError, NegativeInput,
                                   NotInBasis, NotPolynomial, OutOfRange)
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.qcore import (RationalFn, _basis_poly, _basis_quotient,
                                  _divides, _phi_at_most, bigD, bigG,
                                  bracket_Aq, bracket_q, chi_rows, chi_two_row,
-                                 delta, qbinom, qbracket_Aq, qbracket_q, qfact,
-                                 qfact_ratio, qint)
+                                 delta, qfact_ratio)
 
-from ratref import at, equals_ratio, is_value
+from ratref import (at, equals_ratio, is_value, qbinom, qbracket_Aq,
+                    qbracket_q, qfact, qint)
 
 one = LaurentPoly.one()
 
 
+def basis_qint(n: int) -> RationalFn:
+    """[n] = [n]! / [n-1]! over the basis."""
+    return qfact_ratio([n], [n - 1])
+
+
 class TestQuantumNumbers:
+    """qcore's basis values against the expanded references of ratref."""
+
     def test_qint_small(self):
         assert qint(0).is_zero
-        assert qint(1) == one
-        assert qint(2) == LaurentPoly({(0, 1): 1, (0, -1): 1})
+        assert basis_qint(1) == RationalFn.one() == qint(1)
+        assert basis_qint(2).to_poly() == LaurentPoly({(0, 1): 1, (0, -1): 1})
+        for n in range(1, 8):
+            assert basis_qint(n).to_poly() == qint(n)
 
     def test_qint_bracket_ratio(self):
         # [n] = {q^n}/{q}
         for n in range(1, 8):
+            assert bracket_q(n) / bracket_q(1) == basis_qint(n)
             assert qint(n) * qbracket_q(1) == qbracket_q(n)
 
     def test_qfact(self):
-        assert qfact(0) == one
-        assert qfact(3) == qint(1) * qint(2) * qint(3)
+        assert qfact_ratio([0]) == RationalFn.one()
+        assert qfact_ratio([3]) == basis_qint(1) * basis_qint(2) * basis_qint(3)
+        for n in range(8):
+            assert qfact_ratio([n]).to_poly() == qfact(n)
 
     def test_qbinom_symmetry_and_pascal(self):
         for n in range(8):
             for k in range(n + 1):
-                assert qbinom(n, k) == qbinom(n, n - k)
+                assert _binom_q(n, k) == _binom_q(n, n - k)
+                assert _binom_q(n, k) == qbinom(n, k)
         # q-Pascal: C(n,k) = q^k C(n-1,k) + q^(k-n) C(n-1,k-1)
         for n in range(1, 7):
             for k in range(1, n):
-                lhs = qbinom(n, k)
-                rhs = (qbinom(n - 1, k).shift(Monomial(1, 0, k))
-                       + qbinom(n - 1, k - 1).shift(Monomial(1, 0, k - n)))
+                lhs = _binom_q(n, k)
+                rhs = (_binom_q(n - 1, k).shift(Monomial(1, 0, k))
+                       + _binom_q(n - 1, k - 1).shift(Monomial(1, 0, k - n)))
                 assert lhs == rhs
 
     def test_qbinom_range(self):
         with pytest.raises(OutOfRange):
             qbinom(3, 5)
+        # over the basis, k > n is the factorial of a negative number
+        with pytest.raises(NegativeInput):
+            _binom_q(3, 5)
 
     def test_qbinom_at_q1(self):
         from math import comb
         sub = Monomial(1, 0, 0)
         for n in range(7):
             for k in range(n + 1):
-                v = qbinom(n, k).substitute("q", sub)
+                v = _binom_q(n, k).substitute("q", sub)
                 assert sum(v.terms.values()) == comb(n, k)
 
 

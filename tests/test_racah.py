@@ -7,7 +7,7 @@ the rational part squared times its radicands, and Delta_0 = 1."""
 
 import pytest
 
-from pretzelhomfly.errors import IndexOutOfRange
+from pretzelhomfly.errors import OutOfRange
 from pretzelhomfly.laurent import LaurentPoly, Monomial
 from pretzelhomfly.qcore import RationalFn, chi_two_row, delta
 from pretzelhomfly.racah import (build_S, build_Sbar, build_Tbar, sigma,
@@ -113,9 +113,9 @@ class TestRadicalShapes:
                                     for x in range(r + 1)) == expect
 
     def test_sigma_index_errors(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(OutOfRange):
             sigma(0, 3, 4, 2)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(OutOfRange):
             sigma(0, 0, 0, 1)
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from pretzelhomfly.errors import DiagramTooLarge, OutOfRange
 from pretzelhomfly.laurent import LaurentPoly
-from pretzelhomfly.qcore import RationalFn, qbracket_Aq, qbracket_q
+from pretzelhomfly.qcore import RationalFn
 from pretzelhomfly.symfunc import (H_CAP, MAX_ROWS, YoungDiagram,
                                    h_at_special, schur_hook,
                                    schur_jacobi_trudi)
 
-from ratref import equals_ratio
+from ratref import equals_ratio, qbracket_Aq, qbracket_q
 
 
 def _prod(polys):
