@@ -138,6 +138,16 @@ def _theorem1_cases(depth: int):
 
 
 def _cmd_verify(args) -> int:
+    prop, n = args.property, len(args.params)
+    if n != 2 and (prop in ("conj-main", "conj-mono")
+                   or prop == "theorem1" and not args.depth):
+        print(f"verify {prop}: --params takes the two fixed parameters a,b",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if n not in (0, 3) and prop in ("conj-935", "conj-946"):
+        print(f"verify {prop}: --params takes the three parameters a,b,c",
+              file=sys.stderr)
+        return EXIT_USAGE
     eng = _engine(args)
     reports, statuses = [], []
 
@@ -173,7 +183,7 @@ def _cmd_verify(args) -> int:
         record(f"conj-mono-step2(a={a},b={b},c={args.c},r={args.rep})",
                mv.odd_step)
     elif args.property in ("conj-935", "conj-946"):
-        params = args.params if len(args.params) == 3 else (
+        params = args.params or (
             (3, 3, 3) if args.property == "conj-935" else (3, 3, -3))
         max_r = args.depth or 3
         hs = [eng.homfly(PretzelSpec(params, r))

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineError, NotDivisible, ZeroPolynomial
 from .laurent import LaurentPoly, Monomial
-from .pretzel import HomflyEngine, _default_engine
+from .pretzel import HomflyEngine, PretzelSpec, _default_engine
 from .report import Verdict
 
 
@@ -24,6 +24,9 @@ def special_point_monomials() -> List[Tuple[str, Monomial]]:
     """The four substitutions A = q, -q, 1/q, -1/q."""
     return [("A=q", Monomial(1, 0, 1)), ("A=-q", Monomial(-1, 0, 1)),
             ("A=1/q", Monomial(1, 0, -1)), ("A=-1/q", Monomial(-1, 0, -1))]
+
+
+_POINT_LABELS = [label for label, _ in special_point_monomials()]
 
 
 @cache
@@ -184,8 +187,15 @@ def check_theorem_1(a: int, b: int, m: int, r: int,
     divisor (A-q)(A+q)(Aq^r-1)(Aq^r+1), which every s >= 1 term of the
     differential expansion carries, only at r = 1; for r >= 2 the literal
     form is refuted (Q^1 need not vanish at A = +-1/q).
+
+    Q^1 = H(a, b, c+2) - H(a, b, c) with c = 2m - 1, from two homfly calls:
+    the same value as q_diff(1, a, b, c, r), whose two-member window is all
+    seeds.
     """
-    return four_point_verdict(q_diff(1, a, b, 2 * m - 1, r, engine))
+    eng = engine or _default_engine
+    c = 2 * m - 1
+    return four_point_verdict(eng.homfly(PretzelSpec((a, b, c + 2), r))
+                              - eng.homfly(PretzelSpec((a, b, c), r)))
 
 
 def four_point_verdict(d: LaurentPoly) -> Verdict:
@@ -197,8 +207,8 @@ def four_point_verdict(d: LaurentPoly) -> Verdict:
     The four values come from one pass over d's terms.  Split by the parity
     of the A-exponent into E + O, with E and O keyed by the q-exponent
     eq + ea they take at A = q, and E' + O' keyed by eq - ea:
-    p(+-q) = E +- O and p(+-1/q) = E' +- O'.  substitute runs only to build
-    the witness of a failing point.
+    p(+-q) = E +- O and p(+-1/q) = E' +- O'.  The witness of a failing
+    point is its own sums, read as a polynomial in q.
     """
     even, odd, even_inv, odd_inv = {}, {}, {}, {}
     for (ea, eq), c in d.terms.items():
@@ -208,16 +218,16 @@ def four_point_verdict(d: LaurentPoly) -> Verdict:
         else:
             even[eq + ea] = even.get(eq + ea, 0) + c
             even_inv[eq - ea] = even_inv.get(eq - ea, 0) + c
-    vanishes = []
+    at_points = []
     for e, o in ((even, odd), (even_inv, odd_inv)):
         plus, minus = dict(e), dict(e)
         for k, c in o.items():
             plus[k] = plus.get(k, 0) + c
             minus[k] = minus.get(k, 0) - c
-        vanishes += [not any(plus.values()), not any(minus.values())]
-    for (label, mono), zero in zip(special_point_monomials(), vanishes):
-        if not zero:
-            return Verdict.fails(d.substitute("A", mono),
+        at_points += [plus, minus]
+    for label, sums in zip(_POINT_LABELS, at_points):
+        if any(sums.values()):
+            return Verdict.fails(LaurentPoly({(0, k): c for k, c in sums.items()}),
                                  f"Q^1 does not vanish at {label}")
     if d.is_zero:
         return Verdict.holds("Q^1 is identically zero")

@@ -62,13 +62,20 @@ def canonicalize_framing(p: LaurentPoly) -> LaurentPoly:
     palindromic under q -> 1/q; its coefficients then sum to 1 at A=q=1.
     T-bar carries the topological framing, so the assembly meets both
     without a shift.  Any other value, zero included, raises NoCanonicalUnit.
+
+    One pass over the terms sums the coefficients of p(A=q) by q-exponent
+    eq + ea and those of the A=1 slice by eq; zero sums are kept, which
+    neither check minds.
     """
-    at_aq = p.substitute("A", Monomial(1, 0, 1))
-    if not at_aq.is_one:
-        raise NoCanonicalUnit(f"A=q slice is {at_aq.to_text()}, not 1")
-    slice_a1 = p.substitute("A", Monomial(1, 0, 0))
-    if any(slice_a1.terms.get((0, -e), 0) != c
-           for (_, e), c in slice_a1.terms.items()):
+    at_aq: Dict[int, int] = {}
+    slice_a1: Dict[int, int] = {}
+    for (ea, eq), c in p.terms.items():
+        at_aq[eq + ea] = at_aq.get(eq + ea, 0) + c
+        slice_a1[eq] = slice_a1.get(eq, 0) + c
+    if at_aq.get(0) != 1 or any(c for e, c in at_aq.items() if e):
+        text = LaurentPoly({(0, e): c for e, c in at_aq.items()}).to_text()
+        raise NoCanonicalUnit(f"A=q slice is {text}, not 1")
+    if any(slice_a1.get(-e, 0) != c for e, c in slice_a1.items()):
         raise NoCanonicalUnit("A=1 slice is not palindromic under q -> 1/q")
     return p
 

@@ -137,10 +137,10 @@ class TestVerify:
     def test_theorem1_sweep_shares_swapped_checks(self, capsys, tmp_path,
                                                   monkeypatch):
         # the same stdout with no store, a cold store and a warm one, equal
-        # to 128 separate checks; Q^1 is computed once per distinct
+        # to 128 separate checks; Q^1 is checked once per distinct
         # (min(a,b), max(a,b), m, r), 80 times in all
         from itertools import product
-        from pretzelhomfly import differences
+        from pretzelhomfly import cli, differences
         from pretzelhomfly.pretzel import HomflyEngine
         eng = HomflyEngine()
         odd = (-3, -1, 1, 3)
@@ -152,9 +152,9 @@ class TestVerify:
         expect = json.dumps({"reports": reports}, sort_keys=True,
                             separators=(",", ":")) + "\n"
         calls = []
-        q_diff = differences.q_diff
-        monkeypatch.setattr(differences, "q_diff",
-                            lambda *a, **k: calls.append(a) or q_diff(*a, **k))
+        check = cli.check_theorem_1
+        monkeypatch.setattr(cli, "check_theorem_1",
+                            lambda *a, **k: calls.append(a) or check(*a, **k))
         argv = ("verify", "theorem1", "--depth", "2", "--format", "json")
         store = ("--cache-dir", str(tmp_path))
         for extra in ((), store, store):
@@ -164,6 +164,29 @@ class TestVerify:
             assert out == expect
             assert len(calls) == 80
         assert len(list(tmp_path.glob("*.json"))) == 60
+
+    @pytest.mark.parametrize("argv", [
+        ("theorem1", "--params", "1,1,1"), ("theorem1",),
+        ("conj-main", "--params", "1"), ("conj-mono", "--params", "1,1,1")])
+    def test_two_params_usage(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"verify {argv[0]}: --params takes the two fixed "
+                       "parameters a,b\n")
+
+    @pytest.mark.parametrize("prop", ["conj-935", "conj-946"])
+    @pytest.mark.parametrize("params", ["3,3", "3,3,3,3"])
+    def test_three_params_usage(self, capsys, monkeypatch, prop, params):
+        # a wrong length is a usage error before any knot is computed
+        from pretzelhomfly.pretzel import HomflyEngine
+        monkeypatch.setattr(HomflyEngine, "homfly",
+                            lambda *a: pytest.fail("computed a knot"))
+        code, out, err = run(capsys, "verify", prop, "--params", params)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"verify {prop}: --params takes the three "
+                       "parameters a,b,c\n")
 
     def test_conj_946_holds(self, capsys):
         code, out, _ = run(capsys, "verify", "conj-946", "--depth", "3",

@@ -6,9 +6,12 @@ against independent identities (see test_pretzel), so the r = 2 refutation
 is a property of the mathematics, not of this implementation.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pretzelhomfly.cache import HomflyCache
 from pretzelhomfly.differences import (check_conjecture_main,
                                        check_conjecture_mono, check_theorem_1,
                                        factor_X, four_point_divisor,
@@ -25,6 +28,29 @@ from ratref import at, long_div, qbracket_Aq, qbracket_q
 @pytest.fixture(scope="module")
 def engine():
     return HomflyEngine()
+
+
+# the distinct (min(a,b), max(a,b), m, r) of `verify theorem1 --depth 2`
+DEPTH2_KEYS = sorted({(min(a, b), max(a, b), (c + 1) // 2, r)
+                      for a, b, c in product((-3, -1, 1, 3), repeat=3)
+                      for r in (1, 2)})
+
+
+@pytest.fixture(scope="module")
+def warm_engine(tmp_path_factory):
+    """An engine on a store that a cold engine filled with every knot of
+    DEPTH2_KEYS; it reads each of them back and never assembles."""
+    store = tmp_path_factory.mktemp("store")
+    cold = HomflyEngine(cache=HomflyCache(store))
+    for a, b, m, r in DEPTH2_KEYS:
+        check_theorem_1(a, b, m, r, cold)
+    warm = HomflyEngine(cache=HomflyCache(store))
+
+    def assemble(spec):
+        raise AssertionError(f"warm engine assembled {spec.label()}")
+
+    warm.homfly_rational = assemble
+    return warm
 
 
 class TestQDiff:
@@ -166,12 +192,12 @@ class TestFourPointVerdict:
         v = four_point_verdict(four_point_divisor().shift(Monomial(-1, 3, -2)))
         assert v.ok and v.detail.startswith("divides exactly")
 
-    @pytest.mark.parametrize("a,b,m,r", [(1, 1, 1, 1), (1, 1, 1, 2),
-                                         (-3, 3, 2, 2), (1, -3, 0, 1)])
-    def test_engine_q1_matches_reference(self, engine, a, b, m, r):
-        d = q_diff(1, a, b, 2 * m - 1, r, engine)
-        assert check_theorem_1(a, b, m, r, engine) == \
-            reference_four_point_verdict(d)
+    # every distinct key of `verify theorem1 --depth 2`, and one swapped order
+    @pytest.mark.parametrize("a,b,m,r", [*DEPTH2_KEYS, (1, -3, 0, 1)])
+    def test_engine_q1_matches_reference(self, engine, warm_engine, a, b, m, r):
+        ref = reference_four_point_verdict(q_diff(1, a, b, 2 * m - 1, r, engine))
+        assert check_theorem_1(a, b, m, r, engine) == ref
+        assert check_theorem_1(a, b, m, r, warm_engine) == ref
 
 
 def first_difference_vanishes(params, r, engine):

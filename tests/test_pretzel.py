@@ -1,8 +1,9 @@
 """Pretzel HOMFLY engine: golden values, framing, independent identities."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pretzelhomfly.errors import CorruptStore, NoCanonicalUnit, RepCapExceeded
 from pretzelhomfly.laurent import LaurentPoly, Monomial
@@ -18,6 +19,43 @@ def engine():
 
 def H(engine, params, r):
     return engine.homfly(PretzelSpec(params, r))
+
+
+def reference_framing_check(p):
+    """canonicalize_framing the plain way: two substitutions."""
+    at_aq = p.substitute("A", Monomial(1, 0, 1))
+    if not at_aq.is_one:
+        raise NoCanonicalUnit(f"A=q slice is {at_aq.to_text()}, not 1")
+    slice_a1 = p.substitute("A", Monomial(1, 0, 0))
+    if any(slice_a1.terms.get((0, -e), 0) != c
+           for (_, e), c in slice_a1.terms.items()):
+        raise NoCanonicalUnit("A=1 slice is not palindromic under q -> 1/q")
+    return p
+
+
+def framing_outcome(check, p):
+    """True if the check returns p itself, else its NoCanonicalUnit message."""
+    try:
+        return check(p) is p
+    except NoCanonicalUnit as exc:
+        return str(exc)
+
+
+@st.composite
+def framing_like(draw):
+    """A random polynomial x, or 1 + (A - q) x (1 at A = q), or
+    1 + (A - q)(A - 1) x (also 1 at A = 1, so canonical)."""
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4),
+                                    st.integers(-5, 5).filter(bool)),
+                          max_size=6))
+    p = LaurentPoly({(a, b): c for a, b, c in terms})
+    A, q, one = LaurentPoly.var_A(), LaurentPoly.var_q(), LaurentPoly.one()
+    kind = draw(st.sampled_from(("any", "one_at_q", "canonical")))
+    if kind == "canonical":
+        p = (A - one) * p
+    if kind != "any":
+        p = one + (A - q) * p
+    return p
 
 
 class TestSpec:
@@ -146,6 +184,27 @@ class TestCanonicalFraming:
         for params in combinations_with_replacement(range(-5, 6, 2), 3):
             raw = engine.homfly_rational(PretzelSpec(params, r)).to_poly()
             assert canonicalize_framing(raw) is raw, params
+
+    @given(framing_like())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_drawn(self, p):
+        assert framing_outcome(canonicalize_framing, p) == \
+            framing_outcome(reference_framing_check, p)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_matches_reference_on_shifts(self, engine, r):
+        # each canonical genus-2 value passes; a shift by A^i q^-i keeps
+        # A=q at 1 and fails the palindrome; any other shift fails at A=q
+        assert framing_outcome(canonicalize_framing, LaurentPoly.zero()) == \
+            framing_outcome(reference_framing_check, LaurentPoly.zero()) == \
+            "A=q slice is 0, not 1"
+        for params in combinations_with_replacement(range(-5, 6, 2), 3):
+            value = H(engine, params, r)
+            for sign, i, j in product((1, -1), (-1, 0, 1), (-1, 0, 1)):
+                p = value.shift(Monomial(sign, i, j))
+                got = framing_outcome(canonicalize_framing, p)
+                assert got == framing_outcome(reference_framing_check, p)
+                assert (got is True) == ((sign, i, j) == (1, 0, 0))
 
     def test_assembly_is_canonical_genus4(self, engine):
         for params in combinations_with_replacement((-3, -1, 1, 3), 5):
